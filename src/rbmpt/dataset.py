@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -31,12 +31,15 @@ class MixtureSpec:
     prototypes: (m, d) array of 0/1 rows; weights: (m,) mixing weights
     summing to one; flip_probs: (m,) per-component pixel flip probabilities
     in [0, 0.5]. image_side is a reshape hint for square image data.
+    cdf is the normalised cumulative weight vector `sample_batch` draws
+    components from, computed once after validation.
     """
 
     prototypes: np.ndarray
     weights: np.ndarray
     flip_probs: np.ndarray
     image_side: int = 28
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.prototypes = np.atleast_2d(np.asarray(self.prototypes, dtype=np.float64))
@@ -51,6 +54,9 @@ class MixtureSpec:
             raise ValueError("weights must be nonnegative and sum to 1")
         if (self.flip_probs < 0).any() or (self.flip_probs > 0.5).any():
             raise ValueError("flip probabilities must lie in [0, 0.5]")
+        # the same normalisation Generator.choice(p=weights) applies per call
+        self.cdf = self.weights.cumsum()
+        self.cdf /= self.cdf[-1]
 
     @property
     def num_components(self) -> int:
@@ -83,10 +89,17 @@ def sample(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_batch(spec: MixtureSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, d) batch of independent draws."""
-    comps = rng.choice(spec.num_components, size=n, p=spec.weights)
-    flips = rng.random((n, spec.num_pixels)) < spec.flip_probs[comps, None]
-    return np.abs(spec.prototypes[comps] - flips.astype(np.float64))
+    """(n, d) batch of independent draws.
+
+    Components are drawn by inverting `spec.cdf`, which is what
+    `rng.choice(num_components, size=n, p=weights)` does after its argument
+    checks, so the random stream is the same.
+    """
+    comps = spec.cdf.searchsorted(rng.random(n), side="right")
+    flips = rng.random((n, spec.num_pixels))
+    np.less(flips, spec.flip_probs[comps, None], out=flips)
+    # binary prototype xor binary flip, exactly |prototype - flip|
+    return np.not_equal(spec.prototypes[comps], flips, out=flips)
 
 
 class BatchSampler:

@@ -10,6 +10,7 @@ a down particle reaching beta = 1 completes one round trip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -194,39 +195,50 @@ def deo_sweep(
     round trips fold into the return-time estimate, and any post-spawn
     burn-in countdown ticks down.
     """
-    m = ensemble.num_chains
+    m = ensemble.betas.shape[0]
     parity = ensemble.sweep_parity
-    ensemble.visible, ensemble.hidden = rbm.gibbs_sweep_chains(
+    visible, hidden = rbm.gibbs_sweep_chains(
         params, ensemble.visible, ensemble.hidden, ensemble.betas, gibbs_steps, rng
     )
+    labels, counters = ensemble.labels, ensemble.counters
 
     pair_indices = _pair_indices(parity, m)
-    if pair_indices.size:
-        e = rbm.energies(params, ensemble.visible, ensemble.hidden)
-        betas = ensemble.betas
-        # strided views of the lo/hi members of each proposed pair
-        log_r = (betas[parity : m - 1 : 2] - betas[parity + 1 : m : 2]) * (
-            e[parity : m - 1 : 2] - e[parity + 1 : m : 2]
-        )
-        accept_prob = np.exp(np.minimum(log_r, 0.0))
-        accepts = rng.random(pair_indices.shape[0]) < accept_prob
-        swapped = pair_indices[accepts]
-        if swapped.size:
-            src = np.concatenate([swapped, swapped + 1])
-            dst = np.concatenate([swapped + 1, swapped])
-            for arr in (ensemble.visible, ensemble.hidden, ensemble.labels, ensemble.counters):
-                arr[src] = arr[dst]
+    n_pairs = pair_indices.shape[0]
+    if n_pairs:
+        # Python floats for the per-pair arithmetic: a sweep proposes at most
+        # m / 2 pairs, too few to repay numpy's per-call overhead. math.exp
+        # can differ from np.exp in the last bit, which changes a decision
+        # only when its uniform falls inside that bit.
+        e = rbm.energies(params, visible, hidden).tolist()
+        b = ensemble.betas.tolist()
+        lo = range(parity, m - 1, 2)
+        accepted = [
+            u < math.exp(min((b[i] - b[i + 1]) * (e[i] - e[i + 1]), 0.0))
+            for i, u in zip(lo, rng.random(n_pairs).tolist())
+        ]
+        if any(accepted):
+            # an accepted pair trades rows: one gather per particle array
+            order = list(range(m))
+            for i, swap in zip(lo, accepted):
+                if swap:
+                    order[i], order[i + 1] = i + 1, i
+            order = np.array(order)
+            visible = visible.take(order, axis=0)
+            hidden = hidden.take(order, axis=0)
+            labels = labels.take(order)
+            counters = counters.take(order)
+            ensemble.labels, ensemble.counters = labels, counters
+        accepts = np.array(accepted)
         rate_view = ensemble.swap_rate_ema[parity : m - 1 : 2]
         rate_view *= SWAP_RATE_EMA_DECAY
         rate_view += (1.0 - SWAP_RATE_EMA_DECAY) * accepts
     else:
         accepts = np.zeros(0, dtype=bool)
+    ensemble.visible, ensemble.hidden = visible, hidden
     ensemble.sweep_parity = parity ^ 1
 
     round_trips: list[int] = []
     if m >= 2:
-        labels = ensemble.labels
-        counters = ensemble.counters
         counters += 1
         first = labels[0]
         if first == _DOWN:

@@ -154,19 +154,25 @@ def sml_update(
     hidden units; negative statistics are phi(v-, h~-) read off the sampler's
     beta = 1 particle as it currently stands. Deterministic given that
     particle (`rng` is unused; the signature matches the sampler-driven ops).
+    `minibatch` must be a float64 (m, num_visible) array, as `train` passes it.
     """
-    minibatch = np.atleast_2d(np.asarray(minibatch, dtype=np.float64))
-    pos = rbm.mean_sufficient_stats(
-        minibatch, rbm.hidden_conditional(params, minibatch, 1.0)
-    )
+    h_pos = rbm.hidden_conditional(params, minibatch, 1.0)
     v_neg = sampler.visible[0]
-    neg = rbm.sufficient_stats(v_neg, rbm.hidden_conditional(params, v_neg, 1.0))
+    h_neg = rbm.hidden_conditional(params, v_neg, 1.0)
     lr = config.learning_rate
-    params.weights += lr * (pos.weight_stats - neg.weight_stats)
-    params.hidden_bias += lr * (pos.hidden_stats - neg.hidden_stats)
-    params.visible_bias += lr * (pos.visible_stats - neg.visible_stats)
-    if not params.all_finite() or params.max_abs() > THETA_ABS_LIMIT:
-        raise DivergenceError("parameters diverged (non-finite or beyond magnitude limit)")
+    step = h_pos.T @ minibatch
+    step /= minibatch.shape[0]
+    step -= np.outer(h_neg, v_neg)
+    step *= lr
+    params.weights += step
+    params.hidden_bias += lr * (h_pos.mean(axis=0) - h_neg)
+    params.visible_bias += lr * (minibatch.mean(axis=0) - v_neg)
+    # one pass per array; a NaN fails the comparison and is rejected too
+    for theta in (params.weights, params.hidden_bias, params.visible_bias):
+        if not np.abs(theta).max() <= THETA_ABS_LIMIT:
+            raise DivergenceError(
+                "parameters diverged (non-finite or beyond magnitude limit)"
+            )
 
 
 def train(

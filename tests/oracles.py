@@ -3,12 +3,16 @@
 Everything here enumerates joint states explicitly and works straight from
 the energy definition E(v, h) = -(h' W v + b' h + c' v); none of it reuses
 the library's marginalization shortcuts, so agreement is meaningful.
+
+The two `reference_*` samplers are plain out-of-place formulas for the
+library's batched draws. They consume the generator the same way, so the
+library must reproduce their output bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from rbmpt.rbm import RbmParams
 
@@ -94,3 +98,29 @@ def random_params(rng: np.random.Generator, num_visible: int, num_hidden: int, s
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
+
+
+def reference_sample_batch(spec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, d) mixture draws: components via Generator.choice, then pixel flips."""
+    comps = rng.choice(spec.num_components, size=n, p=spec.weights)
+    flips = rng.random((n, spec.num_pixels)) < spec.flip_probs[comps, None]
+    return np.abs(spec.prototypes[comps] - flips.astype(np.float64))
+
+
+def reference_gibbs_sweep(
+    params: RbmParams,
+    visible: np.ndarray,
+    hidden: np.ndarray,
+    betas: np.ndarray,
+    steps: int,
+    rng: np.random.Generator,
+):
+    """`steps` tempered Gibbs alternations of m chains, chain i at betas[i]:
+    hidden then visible, one uniform block per layer."""
+    b = betas[:, None]
+    for _ in range(steps):
+        ph = expit(b * (visible @ params.weights.T + params.hidden_bias))
+        hidden = (rng.random(ph.shape) < ph).astype(np.float64)
+        pv = expit(b * (hidden @ params.weights + params.visible_bias))
+        visible = (rng.random(pv.shape) < pv).astype(np.float64)
+    return visible, hidden

@@ -3,7 +3,7 @@ import pytest
 
 from rbmpt import dataset
 
-from oracles import total_variation
+from oracles import reference_sample_batch, total_variation
 
 
 def toy_spec(num_components=3, width=4, seed=30, flip=(0.1, 0.25, 0.4)):
@@ -72,6 +72,18 @@ class TestSampling:
         a = dataset.sample_batch(spec, np.random.default_rng(35), 64)
         b = dataset.sample_batch(spec, np.random.default_rng(35), 64)
         assert (a == b).all()
+        # and bit for bit the Generator.choice formula, generator state included
+        default = dataset.default_spec(np.random.default_rng(7), image_side=8)
+        for s in (spec, default):
+            for seed in (35, 0, 1234):
+                for n in (1, 5, 10_000):
+                    got_rng = np.random.default_rng(seed)
+                    want_rng = np.random.default_rng(seed)
+                    got = dataset.sample_batch(s, got_rng, n)
+                    want = reference_sample_batch(s, want_rng, n)
+                    assert got.dtype == np.float64
+                    assert np.array_equal(got, want)
+                    assert got_rng.random() == want_rng.random()
 
     def test_batch_sampler_exposes_width(self):
         sampler = dataset.BatchSampler(toy_spec())

@@ -9,6 +9,7 @@ from oracles import (
     brute_joint_distribution,
     enumerate_bits,
     random_params,
+    reference_gibbs_sweep,
     state_index,
     total_variation,
 )
@@ -56,13 +57,17 @@ class TestEnergy:
                 rbm.energy(p1, s) + rbm.energy(p2, s), rel=1e-12
             )
 
-    def test_batch_energies_match_scalar(self):
+    @pytest.mark.parametrize(
+        "m, nv, nh", [(8, 5, 3), (1, 4, 3), (6, 3, 7), (18, 64, 5), (50, 784, 10)]
+    )
+    def test_batch_energies_match_scalar(self, m, nv, nh):
         rng = np.random.default_rng(2)
-        p = random_params(rng, 5, 3)
-        visible = (rng.random((8, 5)) < 0.5).astype(float)
-        hidden = (rng.random((8, 3)) < 0.5).astype(float)
+        p = random_params(rng, nv, nh)
+        visible = (rng.random((m, nv)) < 0.5).astype(float)
+        hidden = (rng.random((m, nh)) < 0.5).astype(float)
         batch = rbm.energies(p, visible, hidden)
-        for i in range(8):
+        assert batch.shape == (m,)
+        for i in range(m):
             assert batch[i] == pytest.approx(
                 rbm.energy(p, rbm.JointState(visible[i], hidden[i])), rel=1e-12
             )
@@ -110,6 +115,30 @@ class TestConditionals:
 
 
 class TestGibbs:
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize(
+        "nv, nh, betas",
+        [(4, 3, [1.0, 0.6, 0.3, 0.0]), (64, 5, np.linspace(1.0, 0.0, 10))],
+        ids=["4x3", "64x5"],
+    )
+    def test_sweep_chains_stream_matches_reference(self, nv, nh, betas, steps):
+        # the batched kernel must draw exactly the reference formula's bits
+        # and leave the generator in the same state
+        rng = np.random.default_rng(60)
+        p = random_params(rng, nv, nh, scale=1.5)
+        betas = np.array(betas)
+        visible = (rng.random((len(betas), nv)) < 0.5).astype(float)
+        hidden = (rng.random((len(betas), nh)) < 0.5).astype(float)
+        v_in, h_in = visible.copy(), hidden.copy()
+        got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
+        got = rbm.gibbs_sweep_chains(p, visible, hidden, betas, steps, got_rng)
+        want = reference_gibbs_sweep(p, visible, hidden, betas, steps, want_rng)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[0].dtype == got[1].dtype == np.float64
+        assert np.array_equal(visible, v_in) and np.array_equal(hidden, h_in)
+        assert got_rng.random() == want_rng.random()
+
     def test_beta_zero_fair_coins(self):
         p = random_params(np.random.default_rng(5), 3, 2, scale=10.0)
         rng = np.random.default_rng(6)

@@ -9,6 +9,7 @@ from oracles import (
     brute_visible_marginal,
     enumerate_bits,
     random_params,
+    reference_gibbs_sweep,
     state_index,
     total_variation,
 )
@@ -167,23 +168,21 @@ class TestDeoSweep:
         # replay the sweep's exact rng stream: per Gibbs step one block per
         # layer, then a single uniform per proposed pair
         seed = 99
-        ens = make_ensemble([1.0, 0.6, 0.3, 0.0], seed=9)
         params = random_params(np.random.default_rng(10), 3, 2, scale=1.5)
-        visible0, hidden0 = ens.visible.copy(), ens.hidden.copy()
+        for steps in (1, 3):
+            ens = make_ensemble([1.0, 0.6, 0.3, 0.0], seed=9)
+            replay = np.random.default_rng(seed)
+            visible1, hidden1 = reference_gibbs_sweep(
+                params, ens.visible, ens.hidden, ens.betas, steps, replay
+            )
+            e = rbm.energies(params, visible1, hidden1)
+            expect_prob = np.exp(
+                np.minimum((ens.betas[[0, 2]] - ens.betas[[1, 3]]) * (e[[0, 2]] - e[[1, 3]]), 0.0)
+            )
+            expect_accepts = replay.random(2) < expect_prob
 
-        replay = np.random.default_rng(seed)
-        ph = 1 / (1 + np.exp(-ens.betas[:, None] * (visible0 @ params.weights.T + params.hidden_bias)))
-        hidden1 = (replay.random((4, 2)) < ph).astype(float)
-        pv = 1 / (1 + np.exp(-ens.betas[:, None] * (hidden1 @ params.weights + params.visible_bias)))
-        visible1 = (replay.random((4, 3)) < pv).astype(float)
-        e = rbm.energies(params, visible1, hidden1)
-        expect_prob = np.exp(
-            np.minimum((ens.betas[[0, 2]] - ens.betas[[1, 3]]) * (e[[0, 2]] - e[[1, 3]]), 0.0)
-        )
-        expect_accepts = replay.random(2) < expect_prob
-
-        report = tempering.deo_sweep(ens, params, 1, np.random.default_rng(seed))
-        assert (report.accepts == expect_accepts).all()
+            report = tempering.deo_sweep(ens, params, steps, np.random.default_rng(seed))
+            assert (report.accepts == expect_accepts).all()
 
     def test_two_chain_acceptance_matches_product_expectation(self):
         # long-run accept frequency vs E[min(1, r)] under p_1 x p_0

@@ -74,12 +74,27 @@ class TestSmlUpdate:
         assert np.abs(params.hidden_bias - want_h).max() <= 1e-12
         assert np.abs(params.visible_bias - want_v).max() <= 1e-12
 
-    def test_divergence_guard(self):
+    @pytest.mark.parametrize("field", ["weights", "hidden_bias", "visible_bias"])
+    @pytest.mark.parametrize(
+        "value",
+        [np.nan, np.inf, -np.inf, 2 * training.THETA_ABS_LIMIT],
+        ids=["nan", "inf", "-inf", "2xlimit"],
+    )
+    def test_divergence_guard(self, field, value):
+        # each array is checked on its own, so a NaN anywhere is caught
         params, ens = self.make()
-        params.weights[0, 0] = 2 * training.THETA_ABS_LIMIT
+        getattr(params, field).flat[0] = value
         batch = np.ones((1, 5))
         with pytest.raises(training.DivergenceError):
             training.sml_update(params, batch, ens, small_config(learning_rate=1e-3))
+
+    def test_divergence_guard_allows_the_limit(self):
+        params, ens = self.make()
+        batch = np.ones((1, 5))
+        for field in ("weights", "hidden_bias", "visible_bias"):
+            for sign in (1.0, -1.0):
+                getattr(params, field).flat[0] = sign * training.THETA_ABS_LIMIT
+                training.sml_update(params, batch, ens, small_config(learning_rate=0.0))
 
 
 class TestTrainLoop:
