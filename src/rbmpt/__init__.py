@@ -11,7 +11,6 @@ from .adaptation import (
 )
 from .dataset import MixtureSpec, default_spec, mixture_log_likelihood, sample, sample_batch
 from .rbm import (
-    GradStats,
     IntractableModelError,
     JointState,
     RbmParams,
@@ -20,7 +19,6 @@ from .rbm import (
     exact_log_partition,
     gibbs_step,
     hidden_conditional,
-    sufficient_stats,
     visible_conditional,
 )
 from .tempering import (

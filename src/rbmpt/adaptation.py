@@ -12,6 +12,7 @@ at 1 and 0.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,9 @@ class AdaptationConfig:
 
     def __post_init__(self):
         # zero rates are the documented degenerate settings that reduce the
-        # adaptive sampler to a fixed ladder
-        if self.beta_learning_rate < 0:
-            raise ValueError("beta_learning_rate must be nonnegative")
+        # adaptive sampler to a fixed ladder; above 1 the step overshoots
+        if not 0.0 <= self.beta_learning_rate <= 1.0:
+            raise ValueError("beta_learning_rate must lie in [0, 1]")
         if not 0.0 <= self.min_avg_swap_rate < 1.0:
             raise ValueError("min_avg_swap_rate must lie in [0, 1)")
         for name in ("spawn_check_interval", "burn_in_sweeps", "max_chains"):
@@ -68,13 +69,13 @@ def optimal_betas(betas: np.ndarray, fup: np.ndarray) -> np.ndarray:
     returned unchanged.
     """
     betas = np.asarray(betas, dtype=np.float64)
-    fup = np.asarray(fup, dtype=np.float64)
-    if not np.isfinite(fup).all():
+    # Python floats (IEEE doubles, as numpy scalars are) for the sequential clamp
+    f = np.asarray(fup, dtype=np.float64).tolist()
+    if not all(map(math.isfinite, f)):
         raise ValueError("f_up contains non-finite entries")
     m = betas.shape[0]
     if m <= 2:
         return betas.copy()
-    f = fup.copy()
     f[0] = 1.0
     f[-1] = 0.0
     for i in range(1, m):
@@ -97,12 +98,15 @@ def adapt_betas(ensemble: Ensemble, config: AdaptationConfig) -> None:
         return
     targets = optimal_betas(ensemble.betas, f_up(ensemble))
     mu = config.beta_learning_rate
-    betas = ensemble.betas
-    betas[1:-1] += mu * (targets[1:-1] - betas[1:-1])
+    # one pass on Python floats does the step and the forward projection in
+    # the same order as a vectorised step followed by the loop
+    b = ensemble.betas.tolist()
+    t = targets.tolist()
     for i in range(1, m - 1):
-        betas[i] = min(betas[i], betas[i - 1] - MIN_BETA_GAP)
+        b[i] = min(b[i] + mu * (t[i] - b[i]), b[i - 1] - MIN_BETA_GAP)
     for i in range(m - 2, 0, -1):
-        betas[i] = max(betas[i], betas[i + 1] + MIN_BETA_GAP)
+        b[i] = max(b[i], b[i + 1] + MIN_BETA_GAP)
+    ensemble.betas[1:-1] = b[1:-1]
 
 
 def average_swap_rate(ensemble: Ensemble) -> float:

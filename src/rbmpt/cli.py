@@ -166,16 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_train(args) -> int:
+def train_plan(args) -> ExperimentPlan:
     file_values = read_config_file(args.config) if args.config else {}
     config, data = _resolve(args, file_values)
     label = args.label or file_values.get("label") or "run"
-    plan = ExperimentPlan(
+    return ExperimentPlan(
         runs=[PlannedRun(label, config, [config.seed])],
         data=data,
         output_dir=_default_outdir(args),
     )
-    return run_experiment(plan)
 
 
 def _apply_overrides(plan: ExperimentPlan, args) -> ExperimentPlan:
@@ -207,7 +206,7 @@ def _apply_overrides(plan: ExperimentPlan, args) -> ExperimentPlan:
     return plan
 
 
-def cmd_grid(args) -> int:
+def grid_plan(args) -> ExperimentPlan:
     if bool(args.preset) == bool(args.plan):
         raise ValueError("grid needs exactly one of --preset or --plan")
     out_dir = _default_outdir(args)
@@ -223,7 +222,7 @@ def cmd_grid(args) -> int:
             grid=args.preset == "comparison-grid",
         )
         plan = _apply_overrides(plan, args)
-    return run_experiment(plan, jobs=args.jobs)
+    return plan
 
 
 def main(argv=None) -> int:
@@ -231,19 +230,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "grid":
-            return cmd_grid(args)
         if args.command == "summarize":
             return summarize(args.output_dir, sys.stdout)
+        # a ValueError here is a bad setting or plan: a usage error
+        plan = train_plan(args) if args.command == "train" else grid_plan(args)
     except ValueError as exc:
         print(f"rbmpt: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (OSError, RuntimeError) as exc:
         print(f"rbmpt: failed: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
-    return 0
+    try:
+        # settings are valid by now, so any error is a runtime failure
+        return run_experiment(plan, jobs=getattr(args, "jobs", 1))
+    except (ValueError, OSError, RuntimeError) as exc:
+        print(f"rbmpt: failed: {exc}", file=sys.stderr)
+        return RUNTIME_ERROR
 
 
 if __name__ == "__main__":

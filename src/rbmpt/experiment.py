@@ -114,7 +114,8 @@ def load_plan(path) -> ExperimentPlan:
 
 
 def build_dataset(data: DatasetSettings) -> tuple[ds.MixtureSpec, np.ndarray]:
-    """Mixture spec and evaluation snapshot derived from the dataset seed."""
+    """Mixture spec and read-only evaluation snapshot (all runs of a plan share
+    it) derived from the dataset seed."""
     spec = ds.default_spec(
         np.random.default_rng([data.data_seed, _PROTO_STREAM]), data.image_side
     )
@@ -122,6 +123,7 @@ def build_dataset(data: DatasetSettings) -> tuple[ds.MixtureSpec, np.ndarray]:
         eval_data = ds.sample_batch(
             spec, np.random.default_rng([data.data_seed, _EVAL_STREAM]), data.eval_size
         )
+        eval_data.setflags(write=False)
     else:
         eval_data = None
     return spec, eval_data
@@ -131,10 +133,11 @@ def run_stem(label: str, seed: int) -> str:
     return f"{label}__seed{seed}"
 
 
-def execute_run(label: str, config: TrainConfig, data: DatasetSettings, out_dir) -> dict:
-    """Train one run and persist its artifacts; returns the manifest entry."""
+def execute_run(label: str, config: TrainConfig, data: DatasetSettings, dataset, out_dir) -> dict:
+    """Train one run on `dataset`, the `build_dataset(data)` pair, and persist
+    its artifacts; returns the manifest entry."""
     out_dir = Path(out_dir)
-    spec, eval_data = build_dataset(data)
+    spec, eval_data = dataset
     started = time.perf_counter()
     result = train(config, ds.BatchSampler(spec), eval_data=eval_data)
     elapsed = time.perf_counter() - started
@@ -180,13 +183,18 @@ def execute_run(label: str, config: TrainConfig, data: DatasetSettings, out_dir)
     }
 
 
-def _worker(payload: dict) -> dict:
-    return execute_run(
-        payload["label"],
-        config_from_dict(payload["config"]),
-        DatasetSettings(**payload["dataset"]),
-        payload["out_dir"],
-    )
+# (data settings, dataset, output directory) of a pool worker process
+_worker_context: tuple = ()
+
+
+def _init_worker(data: DatasetSettings, out_dir: Path) -> None:
+    global _worker_context
+    _worker_context = (data, build_dataset(data), out_dir)
+
+
+def _worker(run: tuple[str, TrainConfig]) -> dict:
+    data, dataset, out_dir = _worker_context
+    return execute_run(*run, data, dataset, out_dir)
 
 
 def _sem(values: list[float]) -> float:
@@ -244,24 +252,23 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    payloads = []
-    for planned in plan.runs:
-        for seed in planned.seeds:
-            config = dataclasses.replace(planned.config, seed=seed)
-            payloads.append(
-                {
-                    "label": planned.label,
-                    "config": config_to_dict(config),
-                    "dataset": dataclasses.asdict(plan.data),
-                    "out_dir": str(out_dir),
-                }
-            )
+    runs = [
+        (planned.label, dataclasses.replace(planned.config, seed=seed))
+        for planned in plan.runs
+        for seed in planned.seeds
+    ]
 
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_worker, payloads))
+    # every run shares one dataset: built once here, or once per worker process
+    if jobs > 1 and len(runs) > 1:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(plan.data, out_dir)
+        ) as pool:
+            entries = list(pool.map(_worker, runs))
     else:
-        entries = [_worker(p) for p in payloads]
+        dataset = build_dataset(plan.data) if runs else None
+        entries = [
+            execute_run(label, config, plan.data, dataset, out_dir) for label, config in runs
+        ]
 
     summaries = {}
     for planned in plan.runs:

@@ -1,6 +1,6 @@
 """Binary restricted Boltzmann machine: energy, tempered conditionals, Gibbs
-transitions, sufficient statistics, and exact partition/likelihood evaluation
-for models small enough to enumerate one layer.
+transitions, and exact partition/likelihood evaluation for models small
+enough to enumerate one layer.
 
 Units live in {0, 1}. The joint energy of a configuration (v, h) is
 
@@ -94,15 +94,6 @@ class JointState:
                 raise ValueError("state entries must be 0 or 1")
 
 
-@dataclass
-class GradStats:
-    """Per-parameter sufficient statistics: (h v', h, v) evaluated at a state."""
-
-    weight_stats: np.ndarray
-    hidden_stats: np.ndarray
-    visible_stats: np.ndarray
-
-
 def init_params(num_visible: int, num_hidden: int, rng: np.random.Generator) -> RbmParams:
     """Small symmetric random weights, zero biases."""
     scale = 1.0 / np.sqrt(num_visible * num_hidden)
@@ -141,7 +132,12 @@ def hidden_conditional(params: RbmParams, visible: np.ndarray, beta: float) -> n
     Accepts a single visible vector (nv,) or a batch (m, nv).
     """
     beta = _check_beta(beta)
-    return expit(beta * (visible @ params.weights.T + params.hidden_bias))
+    # in place on the fresh product, skipping a factor of 1.0: the same bits
+    act = visible @ params.weights.T
+    act += params.hidden_bias
+    if beta != 1.0:
+        act *= beta
+    return expit(act, out=act)
 
 
 def visible_conditional(params: RbmParams, hidden: np.ndarray, beta: float) -> np.ndarray:
@@ -196,21 +192,6 @@ def gibbs_sweep_chains(
         visible = rng.random(pv.shape)
         np.less(visible, pv, out=visible)
     return visible, hidden
-
-
-def sufficient_stats(visible: np.ndarray, hidden_probs: np.ndarray) -> GradStats:
-    """phi(v, h~) with mean-field hidden: (outer(h~, v), h~, v)."""
-    visible = np.asarray(visible, dtype=np.float64)
-    hidden_probs = np.asarray(hidden_probs, dtype=np.float64)
-    return GradStats(np.outer(hidden_probs, visible), hidden_probs.copy(), visible.copy())
-
-
-def mean_sufficient_stats(visible: np.ndarray, hidden_probs: np.ndarray) -> GradStats:
-    """Minibatch mean of phi(v, h~); visible (m, nv), hidden_probs (m, nh)."""
-    m = visible.shape[0]
-    return GradStats(
-        hidden_probs.T @ visible / m, hidden_probs.mean(axis=0), visible.mean(axis=0)
-    )
 
 
 def _bit_patterns(n: int, start: int, stop: int) -> np.ndarray:

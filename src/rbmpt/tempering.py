@@ -288,8 +288,9 @@ def update_flow_histograms(ensemble: Ensemble) -> None:
     rate = 1.0 / ensemble.tau_hat
     ensemble.n_up *= 1.0 - rate
     ensemble.n_down *= 1.0 - rate
-    ensemble.n_up[ensemble.labels == _UP] += rate
-    ensemble.n_down[ensemble.labels == _DOWN] += rate
+    # + 0.0 leaves a nonnegative entry as it is: the bits of a masked add
+    ensemble.n_up += rate * (ensemble.labels == _UP)
+    ensemble.n_down += rate * (ensemble.labels == _DOWN)
 
 
 def f_up(ensemble: Ensemble) -> np.ndarray:

@@ -12,6 +12,7 @@ in the ensemble and its adaptation.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -76,8 +77,8 @@ class TrainConfig:
         if self.initial_ladder not in LADDERS:
             raise ValueError(f"initial_ladder must be one of {LADDERS}")
         # zero is allowed: a pure sampling run with constant parameters
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
         for name in (
             "num_updates",
             "minibatch_size",
@@ -160,13 +161,19 @@ def sml_update(
     v_neg = sampler.visible[0]
     h_neg = rbm.hidden_conditional(params, v_neg, 1.0)
     lr = config.learning_rate
+    n = minibatch.shape[0]
     step = h_pos.T @ minibatch
-    step /= minibatch.shape[0]
-    step -= np.outer(h_neg, v_neg)
+    step /= n
+    step -= h_neg[:, None] * v_neg
     step *= lr
     params.weights += step
-    params.hidden_bias += lr * (h_pos.mean(axis=0) - h_neg)
-    params.visible_bias += lr * (minibatch.mean(axis=0) - v_neg)
+    # add.reduce, then /= n, is what .mean(axis=0) computes: the same bits
+    for theta, pos, neg in ((params.hidden_bias, h_pos, h_neg), (params.visible_bias, minibatch, v_neg)):
+        step = np.add.reduce(pos, axis=0)
+        step /= n
+        step -= neg
+        step *= lr
+        theta += step
     # one pass per array; a NaN fails the comparison and is rejected too
     for theta in (params.weights, params.hidden_bias, params.visible_bias):
         if not np.abs(theta).max() <= THETA_ABS_LIMIT:

@@ -4,9 +4,10 @@ Everything here enumerates joint states explicitly and works straight from
 the energy definition E(v, h) = -(h' W v + b' h + c' v); none of it reuses
 the library's marginalization shortcuts, so agreement is meaningful.
 
-The two `reference_*` samplers are plain out-of-place formulas for the
-library's batched draws. They consume the generator the same way, so the
-library must reproduce their output bit for bit.
+The `reference_*` functions are plain out-of-place formulas for the
+library's hot-path kernels: the two samplers consume the generator the same
+way as the library's batched draws, and the update rules use numpy scalars
+and masked adds. The library must reproduce their output bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP
 from rbmpt.rbm import RbmParams
+from rbmpt.tempering import Label
 
 
 def enumerate_bits(n: int) -> np.ndarray:
@@ -124,3 +127,69 @@ def reference_gibbs_sweep(
         pv = expit(b * (hidden @ params.weights + params.visible_bias))
         visible = (rng.random(pv.shape) < pv).astype(np.float64)
     return visible, hidden
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: stricter than np.array_equal, which
+    takes -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_sml_update(
+    params: RbmParams, minibatch: np.ndarray, v_neg: np.ndarray, lr: float
+) -> RbmParams:
+    """Parameters after one SML step: mean-field positive statistics of the
+    minibatch minus those of the negative particle v_neg, times lr."""
+    h_pos = expit(1.0 * (minibatch @ params.weights.T + params.hidden_bias))
+    h_neg = expit(1.0 * (v_neg @ params.weights.T + params.hidden_bias))
+    step = h_pos.T @ minibatch
+    step /= minibatch.shape[0]
+    step -= np.outer(h_neg, v_neg)
+    step *= lr
+    return RbmParams(
+        params.weights + step,
+        params.hidden_bias + lr * (h_pos.mean(axis=0) - h_neg),
+        params.visible_bias + lr * (minibatch.mean(axis=0) - v_neg),
+    )
+
+
+def reference_optimal_betas(betas: np.ndarray, fup: np.ndarray) -> np.ndarray:
+    """Equal-mass targets: running-minimum clamp of f_up on numpy scalars,
+    then inversion of its interpolant at the levels 1 - i/(M-1)."""
+    m = betas.shape[0]
+    if m <= 2:
+        return betas.copy()
+    f = fup.copy()
+    f[0] = 1.0
+    f[-1] = 0.0
+    for i in range(1, m):
+        f[i] = min(f[i], f[i - 1] - _STRICT_EPS)
+    levels = 1.0 - np.arange(m) / (m - 1)
+    targets = betas.copy()
+    targets[1:-1] = np.interp(levels[1:-1], f[::-1], betas[::-1])
+    return targets
+
+
+def reference_adapt_betas(betas: np.ndarray, fup: np.ndarray, mu: float) -> np.ndarray:
+    """One relaxation step of size mu toward the targets, then the forward
+    and backward MIN_BETA_GAP projections, on numpy scalars."""
+    m = betas.shape[0]
+    betas = betas.copy()
+    targets = reference_optimal_betas(betas, fup)
+    betas[1:-1] += mu * (targets[1:-1] - betas[1:-1])
+    for i in range(1, m - 1):
+        betas[i] = min(betas[i], betas[i - 1] - MIN_BETA_GAP)
+    for i in range(m - 2, 0, -1):
+        betas[i] = max(betas[i], betas[i + 1] + MIN_BETA_GAP)
+    return betas
+
+
+def reference_update_flow_histograms(n_up, n_down, labels, tau_hat: float):
+    """EMA step of the flow histograms at rate 1/tau_hat, with masked adds."""
+    rate = 1.0 / tau_hat
+    n_up = n_up * (1.0 - rate)
+    n_down = n_down * (1.0 - rate)
+    n_up[labels == Label.UP] += rate
+    n_down[labels == Label.DOWN] += rate
+    return n_up, n_down

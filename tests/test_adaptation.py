@@ -2,10 +2,14 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmpt import adaptation, rbm, tempering
-from rbmpt.adaptation import AdaptationConfig
+from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP, AdaptationConfig
 from rbmpt.tempering import Ensemble, Label
+
+from oracles import reference_adapt_betas, reference_optimal_betas, same_bits
 
 
 def make_ensemble(betas, seed=0, nv=3, nh=2):
@@ -109,6 +113,80 @@ class TestAdaptBetas:
             assert (np.diff(ens.betas) <= -adaptation.MIN_BETA_GAP + 1e-15).all()
 
 
+def set_fup(ens, fup):
+    """Set the flow histograms so that the ensemble measures f_up ~ fup."""
+    ens.n_up[:] = fup
+    ens.n_down[:] = 1.0 - fup
+
+
+class TestMatchesReference:
+    """The Python-float loops against the numpy-scalar formulas, bit for bit,
+    on ladders where both the f_up clamp and the MIN_BETA_GAP projection fire."""
+
+    @staticmethod
+    def cases(m):
+        rng = np.random.default_rng(67)
+        for _ in range(5):
+            interior = np.sort(rng.uniform(0.0, 1.0, m - 2))[::-1]
+            if m > 3:
+                interior[-1] = 0.3 * MIN_BETA_GAP  # within the gap of beta = 0
+            interior[0] = 1.0 - 0.3 * MIN_BETA_GAP  # within the gap of beta = 1
+            betas = np.concatenate([[1.0], interior, [0.0]])
+            for fup in (np.ones(m), np.zeros(m), rng.uniform(0.0, 1.0, m)):
+                yield betas, fup
+
+    @pytest.mark.parametrize("m", [3, 10, 100])
+    def test_bit_for_bit(self, m):
+        clamps = projections = 0
+        for betas, fup in self.cases(m):
+            assert same_bits(
+                adaptation.optimal_betas(betas, fup), reference_optimal_betas(betas, fup)
+            )
+            for mu in (0.0, 1e-4, 0.5, 1.0):
+                ens = make_ensemble(betas)
+                set_fup(ens, fup)
+                frac = tempering.f_up(ens)
+                want = reference_adapt_betas(betas, frac, mu)
+                adaptation.adapt_betas(ens, AdaptationConfig(beta_learning_rate=mu))
+                assert same_bits(ens.betas, want)
+                targets = reference_optimal_betas(betas, frac)
+                relaxed = betas[1:-1] + mu * (targets[1:-1] - betas[1:-1])
+                projections += not same_bits(want[1:-1], relaxed)
+            pinned = np.concatenate([[1.0], fup[1:-1], [0.0]])
+            clamps += bool((np.diff(pinned) > -_STRICT_EPS).any())
+        assert clamps > 0 and projections > 0
+
+
+@st.composite
+def ladders_and_fups(draw):
+    """A strictly decreasing ladder of 3 to 100 betas from 1 to 0, an f_up
+    in [0, 1]^M and a relaxation rate in [0, 1]."""
+    interior = draw(
+        st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=1,
+            max_size=98,
+            unique=True,
+        )
+    )
+    m = len(interior) + 2
+    fup = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    mu = draw(st.floats(0.0, 1.0))
+    return np.array([1.0, *sorted(interior, reverse=True), 0.0]), np.array(fup), mu
+
+
+class TestAdaptBetasProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(ladders_and_fups())
+    def test_endpoints_pinned_and_gaps_kept(self, case):
+        betas, fup, mu = case
+        ens = make_ensemble(betas)
+        set_fup(ens, fup)
+        adaptation.adapt_betas(ens, AdaptationConfig(beta_learning_rate=mu))
+        assert ens.betas[0] == 1.0 and ens.betas[-1] == 0.0
+        assert (np.diff(ens.betas) <= -MIN_BETA_GAP + 1e-15).all()
+
+
 class TestAverageSwapRate:
     def test_single_chain_sentinel(self):
         assert adaptation.average_swap_rate(make_ensemble([1.0])) == 1.0
@@ -181,6 +259,11 @@ class TestConfigValidation:
             AdaptationConfig(min_avg_swap_rate=1.5)
         with pytest.raises(ValueError):
             AdaptationConfig(burn_in_sweeps=0)
+
+    @pytest.mark.parametrize("mu", [np.nan, 1.5, -0.1], ids=["nan", "1.5", "-0.1"])
+    def test_rejects_bad_beta_learning_rate(self, mu):
+        with pytest.raises(ValueError):
+            AdaptationConfig(beta_learning_rate=mu)
 
     def test_degenerate_rates_allowed(self):
         cfg = AdaptationConfig(beta_learning_rate=0.0, min_avg_swap_rate=0.0)

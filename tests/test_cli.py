@@ -28,6 +28,18 @@ def tiny_train_args(out, extra=()):
     ]
 
 
+def tiny_comparison_plan(out):
+    """The ci comparison plan, 2 seeds per label, shrunk to a few updates."""
+    plan = experiment.comparison_plan(out, scale="ci", num_seeds=2)
+    for run in plan.runs:
+        run.config = dataclasses.replace(
+            run.config, num_updates=6, post_sampling_steps=0, eval_interval=3
+        )
+    plan.data.image_side = 3
+    plan.data.eval_size = 10
+    return plan
+
+
 class TestTrainCommand:
     def test_single_run_artifacts(self, tmp_path):
         assert run_cli(tiny_train_args(tmp_path)) == 0
@@ -193,6 +205,17 @@ class TestExitCodes:
             run_cli(["frobnicate"])
         assert err.value.code == cli.USAGE_ERROR
 
+    def test_non_finite_lr_is_usage_error(self, tmp_path):
+        assert run_cli(tiny_train_args(tmp_path, ("--lr", "nan"))) == cli.USAGE_ERROR
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_value_error_while_running_is_runtime_error(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("f_up contains non-finite entries")
+
+        monkeypatch.setattr(experiment, "train", fail)
+        assert run_cli(tiny_train_args(tmp_path)) == cli.RUNTIME_ERROR
+
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "rbmpt.cli", *tiny_train_args(tmp_path)],
@@ -223,17 +246,30 @@ class TestProgrammaticEquivalence:
         ]
 
 
+class TestSharedDataset:
+    def test_built_once_per_grid(self, tmp_path, monkeypatch):
+        calls = []
+        build = experiment.build_dataset
+
+        def counting_build(data):
+            calls.append(data)
+            return build(data)
+
+        monkeypatch.setattr(experiment, "build_dataset", counting_build)
+        assert experiment.run_experiment(tiny_comparison_plan(tmp_path), jobs=1) == 0
+        assert len(calls) == 1
+        assert len(list(tmp_path.glob("*__seed*.csv"))) == 10
+
+    def test_eval_snapshot_is_read_only(self):
+        data = experiment.DatasetSettings(image_side=3, eval_size=10)
+        _, eval_data = experiment.build_dataset(data)
+        assert not eval_data.flags.writeable
+
+
 class TestParallelJobs:
     def test_worker_pool_matches_sequential(self, tmp_path):
-        plan_seq = experiment.comparison_plan(tmp_path / "seq", scale="ci", num_seeds=2)
-        plan_par = experiment.comparison_plan(tmp_path / "par", scale="ci", num_seeds=2)
-        for plan in (plan_seq, plan_par):
-            for run in plan.runs:
-                run.config = dataclasses.replace(
-                    run.config, num_updates=6, post_sampling_steps=0, eval_interval=3
-                )
-            plan.data.image_side = 3
-            plan.data.eval_size = 10
+        plan_seq = tiny_comparison_plan(tmp_path / "seq")
+        plan_par = tiny_comparison_plan(tmp_path / "par")
         assert experiment.run_experiment(plan_seq, jobs=1) == 0
         assert experiment.run_experiment(plan_par, jobs=2) == 0
         for csv_seq in (tmp_path / "seq").glob("*.csv"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rbmpt import rbm
 
@@ -10,6 +11,7 @@ from oracles import (
     enumerate_bits,
     random_params,
     reference_gibbs_sweep,
+    same_bits,
     state_index,
     total_variation,
 )
@@ -109,6 +111,15 @@ class TestConditionals:
         want = cond @ h_all
         assert rbm.hidden_conditional(p, v, beta) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("beta", [1.0, 0.37, 0.0])
+    def test_hidden_matches_out_of_place_formula(self, beta):
+        rng = np.random.default_rng(66)
+        p = random_params(rng, 64, 5)
+        for visible in (rng.random(64) < 0.5, rng.random((7, 64)) < 0.5):
+            visible = visible.astype(np.float64)
+            want = expit(beta * (visible @ p.weights.T + p.hidden_bias))
+            assert same_bits(rbm.hidden_conditional(p, visible, beta), want)
+
     def test_beta_out_of_range(self):
         with pytest.raises(ValueError):
             rbm.hidden_conditional(tiny_params(), np.array([1.0]), 1.5)
@@ -185,38 +196,6 @@ class TestGibbs:
             idx = int(s.visible @ weights_v) * 8 + int(s.hidden @ weights_h)
             counts[idx] += 1
         assert total_variation(counts / n, exact) < 0.01
-
-
-class TestSufficientStats:
-    def test_zero_visible(self):
-        g = rbm.sufficient_stats(np.zeros(3), np.array([0.2, 0.9]))
-        assert not g.weight_stats.any()
-        assert not g.visible_stats.any()
-        assert g.hidden_stats == pytest.approx([0.2, 0.9])
-
-    def test_identity_case(self):
-        g = rbm.sufficient_stats(np.array([1.0]), np.array([1.0]))
-        assert g.weight_stats == pytest.approx(np.array([[1.0]]))
-
-    def test_outer_product(self):
-        g = rbm.sufficient_stats(np.array([1.0, 0.0]), np.array([0.5]))
-        assert g.weight_stats == pytest.approx(np.array([[0.5, 0.0]]))
-
-    def test_batch_mean_matches_per_example(self):
-        rng = np.random.default_rng(9)
-        v = (rng.random((6, 4)) < 0.5).astype(float)
-        h = rng.random((6, 3))
-        mean = rbm.mean_sufficient_stats(v, h)
-        singles = [rbm.sufficient_stats(v[i], h[i]) for i in range(6)]
-        assert mean.weight_stats == pytest.approx(
-            np.mean([s.weight_stats for s in singles], axis=0)
-        )
-        assert mean.hidden_stats == pytest.approx(
-            np.mean([s.hidden_stats for s in singles], axis=0)
-        )
-        assert mean.visible_stats == pytest.approx(
-            np.mean([s.visible_stats for s in singles], axis=0)
-        )
 
 
 class TestExactPartition:

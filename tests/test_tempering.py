@@ -10,6 +10,8 @@ from oracles import (
     enumerate_bits,
     random_params,
     reference_gibbs_sweep,
+    reference_update_flow_histograms,
+    same_bits,
     state_index,
     total_variation,
 )
@@ -314,6 +316,22 @@ class TestFlowHistograms:
         assert after_up == pytest.approx(2 / 3, abs=1e-9)
         assert after_down == pytest.approx(1 / 3, abs=1e-9)
         assert 0.5 * (after_up + after_down) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 6, 50])
+    def test_matches_masked_add_reference(self, m):
+        # along a real sweep sequence: tau_hat starts at 1 (rate 1), labels
+        # mix all three values, and unvisited entries stay at zero
+        rng = np.random.default_rng(63)
+        params = random_params(rng, 4, 3)
+        ens = make_ensemble(np.linspace(1.0, 0.0, m), nv=4, nh=3, seed=64)
+        for _ in range(300):
+            tempering.deo_sweep(ens, params, 1, rng)
+            want_up, want_down = reference_update_flow_histograms(
+                ens.n_up, ens.n_down, ens.labels, ens.tau_hat
+            )
+            tempering.update_flow_histograms(ens)
+            assert same_bits(ens.n_up, want_up)
+            assert same_bits(ens.n_down, want_down)
 
 
 class TestFUp:

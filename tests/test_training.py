@@ -6,7 +6,7 @@ from rbmpt import dataset, rbm, tempering, training
 from rbmpt.adaptation import AdaptationConfig
 from rbmpt.training import TrainConfig
 
-from oracles import random_params
+from oracles import random_params, reference_sml_update, same_bits
 
 
 def toy_stream(width=6, seed=50):
@@ -95,6 +95,22 @@ class TestSmlUpdate:
             for sign in (1.0, -1.0):
                 getattr(params, field).flat[0] = sign * training.THETA_ABS_LIMIT
                 training.sml_update(params, batch, ens, small_config(learning_rate=0.0))
+
+
+    @pytest.mark.parametrize("nv, nh", [(5, 3), (64, 5), (784, 10)])
+    @pytest.mark.parametrize("lr", [1e-3, 0.05])
+    def test_matches_reference_bit_for_bit(self, nv, nh, lr):
+        rng = np.random.default_rng(65)
+        params = random_params(rng, nv, nh, scale=0.5)
+        ens = tempering.Ensemble.create(np.array([1.0, 0.5, 0.0]), nv, nh, rng)
+        config = small_config(learning_rate=lr)
+        for _ in range(3):
+            batch = (rng.random((5, nv)) < 0.5).astype(float)
+            ens.visible[0] = rng.random(nv) < 0.5
+            want = reference_sml_update(params, batch, ens.visible[0], lr)
+            training.sml_update(params, batch, ens, config)
+            for name in ("weights", "hidden_bias", "visible_bias"):
+                assert same_bits(getattr(params, name), getattr(want, name))
 
 
 class TestTrainLoop:
@@ -200,6 +216,11 @@ class TestConfigValidation:
     def test_bad_algorithm(self):
         with pytest.raises(ValueError):
             TrainConfig(algorithm="cd")
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=lr)
 
     def test_bad_counts(self):
         with pytest.raises(ValueError):
