@@ -9,22 +9,17 @@ from .adaptation import (
     maybe_spawn,
     optimal_betas,
 )
-from .dataset import MixtureSpec, default_spec, mixture_log_likelihood, sample, sample_batch
+from .dataset import MixtureSpec, default_spec, mixture_log_likelihood, sample_batch
 from .rbm import (
     IntractableModelError,
-    JointState,
     RbmParams,
-    energy,
     exact_log_likelihood,
     exact_log_partition,
-    gibbs_step,
     hidden_conditional,
-    visible_conditional,
 )
 from .tempering import (
     Ensemble,
     Label,
-    Particle,
     SweepReport,
     deo_sweep,
     estimate_return_time,

@@ -1,9 +1,12 @@
 """Command-line front end: single runs, comparison grids, and summaries.
 
-Settings resolve in precedence order: command-line flag, then config-file
-entry, then built-in default. Config files are flat `key = value` lines
-(TOML-style scalars, `#` comments) whose keys match the flag names with
-underscores. The default output directory can be set with RBMPT_OUTDIR.
+Every run setting is one entry of `SETTINGS`, which builds the flags and
+reads config files. Settings resolve in precedence order: command-line flag,
+then config-file entry, then the plan or preset, then the built-in default
+(`train` runs a one-run plan built from the defaults). Config files are flat
+`key = value` lines (`#` comments, optionally quoted values) whose keys are
+the flag names, spelled with `-` or `_`; each value is converted like its
+flag's argument. The default output directory can be set with RBMPT_OUTDIR.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import dataclasses
 import logging
 import os
 import sys
+from typing import Callable, NamedTuple
 
-from .adaptation import AdaptationConfig
 from .experiment import (
-    DatasetSettings,
     ExperimentPlan,
     PlannedRun,
     comparison_plan,
@@ -32,87 +34,115 @@ RUNTIME_ERROR = 2
 _PRESETS = ("comparison", "comparison-grid")
 
 
+class Setting(NamedTuple):
+    """Where a flag's value goes: `field` of each planned run ("run"), of its
+    TrainConfig ("config") or AdaptationConfig ("adaptation"), or of the
+    plan's DatasetSettings ("dataset")."""
+
+    target: str
+    field: str
+    type: Callable[[str], object]
+    help: str
+    choices: tuple[str, ...] | None = None
+    train_only: bool = False
+
+
+SETTINGS = {
+    "algo": Setting("config", "algorithm", str, "negative-phase sampler", ALGORITHMS),
+    "lr": Setting("config", "learning_rate", float, "learning rate"),
+    "beta-lr": Setting("adaptation", "beta_learning_rate", float, "ladder learning rate"),
+    "rmin": Setting("adaptation", "min_avg_swap_rate", float, "minimum average swap rate"),
+    "updates": Setting("config", "num_updates", int, "number of gradient updates"),
+    "minibatch": Setting("config", "minibatch_size", int, "minibatch size"),
+    "k": Setting("config", "gibbs_steps_per_update", int, "Gibbs steps per update"),
+    "chains": Setting("config", "initial_num_chains", int, "initial number of chains"),
+    "ladder": Setting("config", "initial_ladder", str, "initial beta spacing", LADDERS),
+    "hidden": Setting("config", "num_hidden", int, "number of hidden units"),
+    "post-steps": Setting(
+        "config", "post_sampling_steps", int, "pure sampling sweeps after training"
+    ),
+    "eval-interval": Setting("config", "eval_interval", int, "updates between metric rows"),
+    "seed": Setting("config", "seed", int, "run seed", train_only=True),
+    "spawn-interval": Setting(
+        "adaptation", "spawn_check_interval", int, "updates between spawn checks"
+    ),
+    "burn-in": Setting("adaptation", "burn_in_sweeps", int, "post-spawn burn-in sweeps"),
+    "max-chains": Setting("adaptation", "max_chains", int, "chain budget"),
+    "image-side": Setting("dataset", "image_side", int, "square image side length"),
+    "data-seed": Setting("dataset", "data_seed", int, "dataset/prototype seed"),
+    "eval-size": Setting("dataset", "eval_size", int, "likelihood snapshot size (0 = skip)"),
+    "label": Setting("run", "label", str, "artifact name stem (default: run)", train_only=True),
+}
+
+
+def _settings(command: str) -> dict[str, Setting]:
+    return {flag: s for flag, s in SETTINGS.items() if command == "train" or not s.train_only}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-        return text[1:-1]
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
-
-
-def read_config_file(path) -> dict:
-    """Flat `key = value` file; later entries win over earlier ones."""
+def read_config_file(path, command: str) -> dict:
+    """`command`'s settings from a flat `key = value` file, keyed by flag name;
+    later entries win over earlier ones. An unknown key or a value its flag
+    would not accept is a ValueError naming the file and line."""
+    settings = _settings(command)
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = _parse_scalar(value)
+                raise ValueError(f"{where}: expected 'key = value'")
+            key, _, text = (part.strip() for part in line.partition("="))
+            flag = key.replace("_", "-")
+            setting = settings.get(flag)
+            if setting is None:
+                field = key.replace("-", "_")
+                known = [f for f, s in settings.items() if s.field == field]
+                hint = f"; set {field} with '{known[0]}'" if known else ""
+                raise ValueError(f"{where}: unknown key '{key}'{hint}")
+            if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+                text = text[1:-1]
+            try:
+                values[flag] = setting.type(text)
+            except ValueError:
+                raise ValueError(
+                    f"{where}: bad value {text!r} for '{key}' "
+                    f"(expected {setting.type.__name__})"
+                ) from None
     return values
 
 
-# (flag/file key, TrainConfig or AdaptationConfig attribute)
-_TRAIN_KEYS = {
-    "algo": "algorithm",
-    "lr": "learning_rate",
-    "updates": "num_updates",
-    "minibatch": "minibatch_size",
-    "k": "gibbs_steps_per_update",
-    "chains": "initial_num_chains",
-    "ladder": "initial_ladder",
-    "hidden": "num_hidden",
-    "post_steps": "post_sampling_steps",
-    "eval_interval": "eval_interval",
-    "seed": "seed",
-}
-_ADAPT_KEYS = {
-    "beta_lr": "beta_learning_rate",
-    "rmin": "min_avg_swap_rate",
-    "spawn_interval": "spawn_check_interval",
-    "burn_in": "burn_in_sweeps",
-    "max_chains": "max_chains",
-}
-_DATA_KEYS = {
-    "image_side": "image_side",
-    "data_seed": "data_seed",
-    "eval_size": "eval_size",
-}
+def apply_settings(plan: ExperimentPlan, values: dict) -> ExperimentPlan:
+    """Set each flag's value (keyed by flag name) on every run of `plan` and
+    on its dataset; the settings objects validate the result."""
+    fields = {"run": {}, "config": {}, "adaptation": {}, "dataset": {}}
+    for flag, value in values.items():
+        setting = SETTINGS[flag]
+        fields[setting.target][setting.field] = value
+    for run in plan.runs:
+        adaptation = dataclasses.replace(run.config.adaptation, **fields["adaptation"])
+        run.config = dataclasses.replace(run.config, adaptation=adaptation, **fields["config"])
+        for name, value in fields["run"].items():
+            setattr(run, name, value)
+    plan.data = dataclasses.replace(plan.data, **fields["dataset"])
+    return plan
 
 
-def _resolve(args, file_values: dict):
-    """Merge flags over config-file values into the typed settings objects."""
-
-    def pick(key):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        return file_values.get(key)
-
-    train_kwargs = {attr: pick(key) for key, attr in _TRAIN_KEYS.items()}
-    adapt_kwargs = {attr: pick(key) for key, attr in _ADAPT_KEYS.items()}
-    data_kwargs = {attr: pick(key) for key, attr in _DATA_KEYS.items()}
-    train_kwargs = {k: v for k, v in train_kwargs.items() if v is not None}
-    adapt_kwargs = {k: v for k, v in adapt_kwargs.items() if v is not None}
-    data_kwargs = {k: v for k, v in data_kwargs.items() if v is not None}
-    config = TrainConfig(adaptation=AdaptationConfig(**adapt_kwargs), **train_kwargs)
-    data = DatasetSettings(**data_kwargs)
-    return config, data
+def _setting_values(args) -> dict:
+    """Flag values over config-file values, keyed by flag name."""
+    values = read_config_file(args.config, args.command) if args.config else {}
+    for flag in _settings(args.command):
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None:
+            values[flag] = value
+    return values
 
 
 def _default_outdir(args) -> str:
@@ -121,27 +151,12 @@ def _default_outdir(args) -> str:
     return os.environ.get("RBMPT_OUTDIR", ".")
 
 
-def _add_run_flags(parser):
-    parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--algo", choices=ALGORITHMS)
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--beta-lr", type=float, help="ladder learning rate")
-    parser.add_argument("--rmin", type=float, help="minimum average swap rate")
-    parser.add_argument("--updates", type=int, help="number of gradient updates")
-    parser.add_argument("--minibatch", type=int, help="minibatch size")
-    parser.add_argument("--k", type=int, help="Gibbs steps per update")
-    parser.add_argument("--chains", type=int, help="initial number of chains")
-    parser.add_argument("--ladder", choices=LADDERS, help="initial beta spacing")
-    parser.add_argument("--hidden", type=int, help="number of hidden units")
-    parser.add_argument("--post-steps", type=int, help="pure sampling sweeps after training")
-    parser.add_argument("--eval-interval", type=int, help="updates between metric rows")
-    parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--spawn-interval", type=int, help="updates between spawn checks")
-    parser.add_argument("--burn-in", type=int, help="post-spawn burn-in sweeps")
-    parser.add_argument("--max-chains", type=int, help="chain budget")
-    parser.add_argument("--image-side", type=int, help="square image side length")
-    parser.add_argument("--data-seed", type=int, help="dataset/prototype seed")
-    parser.add_argument("--eval-size", type=int, help="likelihood snapshot size (0 = skip)")
+def _add_run_flags(parser, command: str) -> None:
+    parser.add_argument("--config", help="flat key = value settings file, keys as the flags")
+    for flag, setting in _settings(command).items():
+        parser.add_argument(
+            f"--{flag}", type=setting.type, choices=setting.choices, help=setting.help
+        )
     parser.add_argument("--out", help="output directory (default $RBMPT_OUTDIR or .)")
 
 
@@ -150,11 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one training job")
-    _add_run_flags(p_train)
-    p_train.add_argument("--label", help="artifact name stem (default: run)")
+    _add_run_flags(p_train, "train")
 
     p_grid = sub.add_parser("grid", help="run a preset or plan file")
-    _add_run_flags(p_grid)
+    _add_run_flags(p_grid, "grid")
     p_grid.add_argument("--preset", choices=_PRESETS)
     p_grid.add_argument("--plan", help="experiment plan JSON file")
     p_grid.add_argument("--scale", choices=("full", "ci"), default="full")
@@ -167,62 +181,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def train_plan(args) -> ExperimentPlan:
-    file_values = read_config_file(args.config) if args.config else {}
-    config, data = _resolve(args, file_values)
-    label = args.label or file_values.get("label") or "run"
-    return ExperimentPlan(
-        runs=[PlannedRun(label, config, [config.seed])],
-        data=data,
-        output_dir=_default_outdir(args),
-    )
-
-
-def _apply_overrides(plan: ExperimentPlan, args) -> ExperimentPlan:
-    """Explicitly provided flags applied on top of a preset (shrinking smoke
-    runs); preset-owned settings are kept wherever no flag was given."""
-    file_values = read_config_file(args.config) if args.config else {}
-
-    def provided(key):
-        value = getattr(args, key, None)
-        return value if value is not None else file_values.get(key)
-
-    train_updates = {
-        attr: provided(key) for key, attr in _TRAIN_KEYS.items() if provided(key) is not None
-    }
-    adapt_updates = {
-        attr: provided(key) for key, attr in _ADAPT_KEYS.items() if provided(key) is not None
-    }
-    for run in plan.runs:
-        if train_updates:
-            run.config = dataclasses.replace(run.config, **train_updates)
-        if adapt_updates:
-            run.config = dataclasses.replace(
-                run.config,
-                adaptation=dataclasses.replace(run.config.adaptation, **adapt_updates),
-            )
-    for key, attr in _DATA_KEYS.items():
-        if provided(key) is not None:
-            setattr(plan.data, attr, provided(key))
+    """A one-run plan built from the defaults, with the settings applied."""
+    run = PlannedRun("run", TrainConfig(), [])
+    plan = ExperimentPlan([run], output_dir=_default_outdir(args))
+    apply_settings(plan, _setting_values(args))
+    run.seeds = [run.config.seed]
     return plan
 
 
 def grid_plan(args) -> ExperimentPlan:
     if bool(args.preset) == bool(args.plan):
         raise ValueError("grid needs exactly one of --preset or --plan")
-    out_dir = _default_outdir(args)
     if args.plan:
         plan = load_plan(args.plan)
         if args.out is not None:
             plan.output_dir = args.out
     else:
         plan = comparison_plan(
-            out_dir,
+            _default_outdir(args),
             scale=args.scale,
             num_seeds=args.num_seeds,
             grid=args.preset == "comparison-grid",
         )
-        plan = _apply_overrides(plan, args)
-    return plan
+    return apply_settings(plan, _setting_values(args))
 
 
 def main(argv=None) -> int:

@@ -9,8 +9,6 @@ mode (prone to intercepting down-moving tempered particles).
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +18,6 @@ from scipy.special import logsumexp
 # probabilities of the five-mode mixture.
 MIXTURE_WEIGHTS = (0.3314, 0.2262, 0.0812, 0.0254, 0.3358)
 MIXTURE_FLIP_PROBS = (0.0001, 0.0137, 0.0215, 0.0223, 0.0544)
-
-_SNAPSHOT_MAGIC = b"RBMS"
 
 
 @dataclass
@@ -81,13 +77,6 @@ def default_spec(rng: np.random.Generator, image_side: int = 28) -> MixtureSpec:
     return MixtureSpec(prototypes, weights, np.array(MIXTURE_FLIP_PROBS), image_side)
 
 
-def sample(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
-    """One draw: pick a component, flip each prototype pixel with its p_m."""
-    m = rng.choice(spec.num_components, p=spec.weights)
-    flips = rng.random(spec.num_pixels) < spec.flip_probs[m]
-    return np.abs(spec.prototypes[m] - flips.astype(np.float64))
-
-
 def sample_batch(spec: MixtureSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, d) batch of independent draws.
 
@@ -103,7 +92,8 @@ def sample_batch(spec: MixtureSpec, rng: np.random.Generator, n: int) -> np.ndar
 
 
 class BatchSampler:
-    """Callable (rng, n) -> batch; exposes num_visible for model sizing."""
+    """Callable (rng, n) -> float64 (n, d) batch; exposes num_visible for
+    model sizing. This is the sampler `training.train` takes."""
 
     def __init__(self, spec: MixtureSpec):
         self.spec = spec
@@ -130,52 +120,3 @@ def mixture_log_likelihood(spec: MixtureSpec, v: np.ndarray) -> float:
     hit = mismatches > 0
     terms[hit] += mismatches[hit] * log_p[hit]
     return float(logsumexp(log_w + terms))
-
-
-def spec_to_json(spec: MixtureSpec, seed: int | None = None) -> str:
-    """JSON record with prototypes encoded as '01' bit-strings."""
-    record = {
-        "weights": spec.weights.tolist(),
-        "flip_probs": spec.flip_probs.tolist(),
-        "prototypes": [
-            "".join(str(int(b)) for b in row) for row in spec.prototypes
-        ],
-        "image_side": spec.image_side,
-        "seed": seed,
-    }
-    return json.dumps(record, indent=2)
-
-
-def spec_from_json(text: str) -> MixtureSpec:
-    record = json.loads(text)
-    prototypes = np.array(
-        [[float(ch) for ch in row] for row in record["prototypes"]]
-    )
-    return MixtureSpec(
-        prototypes,
-        np.array(record["weights"]),
-        np.array(record["flip_probs"]),
-        int(record["image_side"]),
-    )
-
-
-def save_snapshot(path, data: np.ndarray) -> None:
-    """Packed-bit binary snapshot: magic, '<II' (count, width), then each row
-    bit-packed to a byte boundary."""
-    data = np.atleast_2d(np.asarray(data))
-    count, width = data.shape
-    with open(path, "wb") as fh:
-        fh.write(_SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<II", count, width))
-        fh.write(np.packbits(data.astype(np.uint8), axis=1).tobytes())
-
-
-def load_snapshot(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _SNAPSHOT_MAGIC:
-            raise ValueError(f"{path} is not a dataset snapshot")
-        count, width = struct.unpack("<II", fh.read(8))
-        row_bytes = (width + 7) // 8
-        packed = np.frombuffer(fh.read(count * row_bytes), dtype=np.uint8)
-    bits = np.unpackbits(packed.reshape(count, row_bytes), axis=1)[:, :width]
-    return bits.astype(np.float64)

@@ -41,6 +41,13 @@ class DatasetSettings:
     data_seed: int = 0
     eval_size: int = 10_000
 
+    def __post_init__(self):
+        if self.image_side < 1:
+            raise ValueError("image_side must be a positive integer")
+        for name in ("data_seed", "eval_size"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+
 
 @dataclass
 class PlannedRun:
@@ -64,17 +71,27 @@ class ExperimentPlan:
         for run in self.runs:
             if len(set(run.seeds)) != len(run.seeds):
                 raise ValueError(f"replicate seeds must be distinct ({run.label})")
+            if any(seed < 0 for seed in run.seeds):
+                raise ValueError(f"replicate seeds must be nonnegative ({run.label})")
 
 
 def config_to_dict(config: TrainConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _known_keys(record: dict, cls, where: str) -> dict:
+    """`record`, once every key is a field of the dataclass `cls`."""
+    unknown = sorted(set(record) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+    return record
+
+
 def config_from_dict(record: dict) -> TrainConfig:
-    record = dict(record)
+    record = dict(_known_keys(record, TrainConfig, "config"))
     adaptation = record.pop("adaptation", None)
     if isinstance(adaptation, dict):
-        adaptation = AdaptationConfig(**adaptation)
+        adaptation = AdaptationConfig(**_known_keys(adaptation, AdaptationConfig, "adaptation"))
     elif adaptation is None:
         adaptation = AdaptationConfig()
     return TrainConfig(adaptation=adaptation, **record)
@@ -96,7 +113,7 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def plan_from_dict(record: dict) -> ExperimentPlan:
-    data = DatasetSettings(**record.get("dataset", {}))
+    data = DatasetSettings(**_known_keys(record.get("dataset", {}), DatasetSettings, "dataset"))
     runs = [
         PlannedRun(
             label=entry["label"],

@@ -79,36 +79,11 @@ class RbmParams:
         )
 
 
-@dataclass
-class JointState:
-    """One joint configuration (v, h); every entry is 0 or 1."""
-
-    visible: np.ndarray
-    hidden: np.ndarray
-
-    def __post_init__(self):
-        self.visible = np.asarray(self.visible, dtype=np.float64)
-        self.hidden = np.asarray(self.hidden, dtype=np.float64)
-        for arr in (self.visible, self.hidden):
-            if not np.isin(arr, (0.0, 1.0)).all():
-                raise ValueError("state entries must be 0 or 1")
-
-
 def init_params(num_visible: int, num_hidden: int, rng: np.random.Generator) -> RbmParams:
     """Small symmetric random weights, zero biases."""
     scale = 1.0 / np.sqrt(num_visible * num_hidden)
     weights = rng.uniform(-scale, scale, size=(num_hidden, num_visible))
     return RbmParams(weights, np.zeros(num_hidden), np.zeros(num_visible))
-
-
-def energy(params: RbmParams, state: JointState) -> float:
-    """E(v, h) = -(h' W v + b' h + c' v)."""
-    v, h = state.visible, state.hidden
-    if v.shape != (params.num_visible,) or h.shape != (params.num_hidden,):
-        raise ValueError("state shape inconsistent with parameters")
-    return float(
-        -(h @ params.weights @ v + params.hidden_bias @ h + params.visible_bias @ v)
-    )
 
 
 def energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> np.ndarray:
@@ -140,23 +115,6 @@ def hidden_conditional(params: RbmParams, visible: np.ndarray, beta: float) -> n
     return expit(act, out=act)
 
 
-def visible_conditional(params: RbmParams, hidden: np.ndarray, beta: float) -> np.ndarray:
-    """p_beta(v_j = 1 | h), componentwise logistic of beta * (c + W' h)."""
-    beta = _check_beta(beta)
-    return expit(beta * (hidden @ params.weights + params.visible_bias))
-
-
-def gibbs_step(
-    params: RbmParams, state: JointState, beta: float, rng: np.random.Generator
-) -> JointState:
-    """One alternation: sample h ~ p_beta(h|v), then v ~ p_beta(v|h)."""
-    ph = hidden_conditional(params, state.visible, beta)
-    hidden = (rng.random(ph.shape) < ph).astype(np.float64)
-    pv = visible_conditional(params, hidden, beta)
-    visible = (rng.random(pv.shape) < pv).astype(np.float64)
-    return JointState(visible, hidden)
-
-
 def gibbs_sweep_chains(
     params: RbmParams,
     visible: np.ndarray,
@@ -165,13 +123,14 @@ def gibbs_sweep_chains(
     steps: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance m chains by `steps` Gibbs alternations, chain i at betas[i].
+    """Advance m chains by `steps` Gibbs alternations, chain i at betas[i]:
+    h ~ p_beta(h | v) = logistic(beta (b + W v)), then v ~ p_beta(v | h) =
+    logistic(beta (c + W' h)).
 
-    Same transition kernel as `gibbs_step`, batched across chains; draw order
-    is hidden then visible, one uniform block per phase. Each phase works in
-    place on its pre-activation and uniform buffers (same operations in the
-    same order, so the same bits as the out-of-place formula); the input
-    arrays are not modified.
+    Draw order is hidden then visible, one uniform block per phase. Each
+    phase works in place on its pre-activation and uniform buffers (same
+    operations in the same order, so the same bits as the out-of-place
+    formula); the input arrays are not modified.
     """
     b = betas[:, None]
     weights = params.weights

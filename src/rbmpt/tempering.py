@@ -50,15 +50,6 @@ def _pair_indices(parity: int, num_chains: int) -> np.ndarray:
 
 
 @dataclass
-class Particle:
-    """One chain's joint state plus its flow label and return-time counter."""
-
-    state: rbm.JointState
-    label: Label
-    return_counter: int
-
-
-@dataclass
 class SweepReport:
     """Outcome of one DEO sweep: proposed pairs, accepts, completed trips."""
 
@@ -141,11 +132,6 @@ class Ensemble:
     def num_chains(self) -> int:
         return self.betas.shape[0]
 
-    def particle(self, slot: int) -> Particle:
-        """Copy of the particle currently occupying `slot`."""
-        state = rbm.JointState(self.visible[slot].copy(), self.hidden[slot].copy())
-        return Particle(state, Label(self.labels[slot]), int(self.counters[slot]))
-
     def insert_chain(self, slot: int, beta: float, source_slot: int) -> None:
         """Insert a fresh chain at `slot`, state copied from `source_slot`.
 
@@ -171,12 +157,13 @@ def swap_ratio(energy_i: float, energy_j: float, beta_i: float, beta_j: float) -
     """Acceptance probability min(1, exp((beta_i - beta_j) (E_i - E_j))).
 
     Chain i is the colder of the pair (beta_i >= beta_j). Computed as
-    exp(min(x, 0)) so the exponent never overflows.
+    exp(min(x, 0)) so the exponent never overflows. `deo_sweep` decides every
+    swap with it, on Python floats: a sweep proposes at most m / 2 pairs, too
+    few to repay numpy's per-call overhead.
     """
     if beta_i < beta_j:
         raise ValueError("expected beta_i >= beta_j")
-    log_r = (beta_i - beta_j) * (energy_i - energy_j)
-    return float(np.exp(min(log_r, 0.0)))
+    return math.exp(min((beta_i - beta_j) * (energy_i - energy_j), 0.0))
 
 
 def deo_sweep(
@@ -205,15 +192,11 @@ def deo_sweep(
     pair_indices = _pair_indices(parity, m)
     n_pairs = pair_indices.shape[0]
     if n_pairs:
-        # Python floats for the per-pair arithmetic: a sweep proposes at most
-        # m / 2 pairs, too few to repay numpy's per-call overhead. math.exp
-        # can differ from np.exp in the last bit, which changes a decision
-        # only when its uniform falls inside that bit.
         e = rbm.energies(params, visible, hidden).tolist()
         b = ensemble.betas.tolist()
         lo = range(parity, m - 1, 2)
         accepted = [
-            u < math.exp(min((b[i] - b[i + 1]) * (e[i] - e[i + 1]), 0.0))
+            u < swap_ratio(e[i], e[i + 1], b[i], b[i + 1])
             for i, u in zip(lo, rng.random(n_pairs).tolist())
         ]
         if any(accepted):

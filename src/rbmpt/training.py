@@ -89,8 +89,9 @@ class TrainConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.post_sampling_steps < 0:
-            raise ValueError("post_sampling_steps must be nonnegative")
+        for name in ("post_sampling_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass
@@ -184,32 +185,25 @@ def sml_update(
 
 def train(
     config: TrainConfig,
-    data_stream,
+    sampler,
     rng: np.random.Generator | None = None,
     eval_data: np.ndarray | None = None,
 ) -> TrainResult:
     """Run `num_updates` gradient updates, then `post_sampling_steps` pure
     sampling sweeps (learning off, ladder adaptation still live).
 
-    `data_stream` is a callable (rng, n) -> (n, num_visible) minibatch; if it
-    exposes a `num_visible` attribute the model is sized from it, otherwise
-    from a first probe batch. A metrics record is emitted at update 0, every
-    `eval_interval` updates, and at the end; the likelihood column is exact
-    when one layer is enumerable and "n/a" otherwise. A divergence aborts
-    learning but still returns the metrics collected so far.
+    `sampler` draws the minibatches: a callable (rng, n) -> float64
+    (n, num_visible) array, such as `dataset.BatchSampler`, whose
+    `num_visible` attribute sizes the model. A metrics record is emitted at
+    update 0, every `eval_interval` updates, and at the end; the likelihood
+    column is exact when one layer is enumerable and "n/a" otherwise. A
+    divergence aborts learning but still returns the metrics collected so far.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     started = time.perf_counter()
 
-    pending_batch = None
-    num_visible = getattr(data_stream, "num_visible", None)
-    if num_visible is None:
-        pending_batch = np.atleast_2d(
-            np.asarray(data_stream(rng, config.minibatch_size), dtype=np.float64)
-        )
-        num_visible = pending_batch.shape[1]
-
+    num_visible = sampler.num_visible
     params = rbm.init_params(num_visible, config.num_hidden, rng)
     ensemble = initial_ensemble(config, num_visible, rng)
     adaptive = config.algorithm == ALGO_SML_APT
@@ -247,12 +241,7 @@ def train(
     for update in range(1, total_steps + 1):
         learning = update <= config.num_updates
         if learning:
-            if pending_batch is not None:
-                batch, pending_batch = pending_batch, None
-            else:
-                batch = np.atleast_2d(
-                    np.asarray(data_stream(rng, config.minibatch_size), dtype=np.float64)
-                )
+            batch = sampler(rng, config.minibatch_size)
         deo_sweep(ensemble, params, config.gibbs_steps_per_update, rng)
         m = ensemble.num_chains
         work_units += config.gibbs_steps_per_update * m * 2 * weight_size

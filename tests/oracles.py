@@ -31,6 +31,17 @@ def state_index(bits: np.ndarray) -> int:
     return int(np.asarray(bits) @ (1 << np.arange(len(bits))))
 
 
+def reference_energy(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> float:
+    """E(v, h) = -(h' W v + b' h + c' v) of one joint state, term by term."""
+    return float(
+        -(
+            hidden @ params.weights @ visible
+            + params.hidden_bias @ hidden
+            + params.visible_bias @ visible
+        )
+    )
+
+
 def energy_table(params: RbmParams) -> np.ndarray:
     """(2^nh, 2^nv) table of joint energies over every configuration."""
     v_all = enumerate_bits(params.num_visible)

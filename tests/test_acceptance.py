@@ -34,6 +34,7 @@ from oracles import (
     brute_visible_marginal,
     enumerate_bits,
     random_params,
+    reference_energy,
     state_index,
     total_variation,
 )
@@ -187,8 +188,8 @@ def test_criterion_1c_swap_ratio_equivalence():
             jj = (state_index(hj), state_index(vj))
             want = min(1.0, (pi[jj] * pj[ii]) / (pi[ii] * pj[jj]))
             got = tempering.swap_ratio(
-                rbm.energy(params, rbm.JointState(vi, hi)),
-                rbm.energy(params, rbm.JointState(vj, hj)),
+                reference_energy(params, vi, hi),
+                reference_energy(params, vj, hj),
                 beta_i,
                 beta_j,
             )

@@ -251,6 +251,56 @@ class TestMaybeSpawn:
         assert "saturated" in caplog.text
 
 
+@st.composite
+def spawn_cases(draw):
+    """An ensemble of 1 to 8 chains on a ladder whose gaps are at least
+    MIN_BETA_GAP, as adapt_betas keeps them, with arbitrary flow histograms,
+    swap-rate estimates and burn-in, and an arbitrary spawn configuration."""
+    m = draw(st.integers(1, 8))
+    gaps = np.array(draw(st.lists(st.floats(1.0, 1e4), min_size=m - 1, max_size=m - 1)))
+    betas = [1.0]
+    if m > 1:
+        betas = np.concatenate([[1.0], 1.0 - np.cumsum(gaps)[:-1] / gaps.sum(), [0.0]])
+    ens = make_ensemble(betas, seed=draw(st.integers(0, 2**32 - 1)))
+    unit = st.floats(0.0, 1.0)
+    ens.n_up[:] = draw(st.lists(unit, min_size=m, max_size=m))
+    ens.n_down[:] = draw(st.lists(unit, min_size=m, max_size=m))
+    ens.swap_rate_ema[:] = draw(st.lists(unit, min_size=m - 1, max_size=m - 1))
+    ens.burn_in_remaining = draw(st.sampled_from([0, 0, 0, 1, 50]))
+    config = AdaptationConfig(
+        min_avg_swap_rate=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        burn_in_sweeps=draw(st.integers(1, 200)),
+        max_chains=draw(st.integers(1, 10)),
+    )
+    return ens, config
+
+
+class TestMaybeSpawnProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(spawn_cases())
+    def test_invariants(self, case):
+        ens, config = case
+        m_before = ens.num_chains
+        burn_in_before = ens.burn_in_remaining
+        event = adaptation.maybe_spawn(ens, config, update_index=7)
+        m = ens.num_chains
+        assert ens.betas[0] == 1.0
+        if m > 1:
+            assert ens.betas[-1] == 0.0
+            assert (np.diff(ens.betas) < 0).all()
+        assert m - m_before == (event is not None)
+        for per_slot in (ens.betas, ens.visible, ens.hidden, ens.labels, ens.counters,
+                         ens.n_up, ens.n_down):
+            assert len(per_slot) == m
+        assert len(ens.swap_rate_ema) == m - 1
+        if event is not None:
+            assert m <= config.max_chains
+            assert ens.burn_in_remaining == config.burn_in_sweeps
+            assert event.num_chains == m
+        else:
+            assert ens.burn_in_remaining == burn_in_before
+
+
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from rbmpt import cli, experiment
-from rbmpt.training import read_metrics_csv
+from rbmpt.adaptation import AdaptationConfig
+from rbmpt.training import TrainConfig, read_metrics_csv
 
 
 def run_cli(argv):
@@ -38,6 +39,41 @@ def tiny_comparison_plan(out):
     plan.data.image_side = 3
     plan.data.eval_size = 10
     return plan
+
+
+def exit_code(argv):
+    """cli.main's exit code, including argparse's usage errors."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def write_plan(path, dataset=None, config=None):
+    """A one-run plan file: sml, 6 updates, 5 hidden units, 3x3 images."""
+    record = {
+        "dataset": {"image_side": 3, "eval_size": 10, **(dataset or {})},
+        "runs": [
+            {
+                "label": "planned",
+                "seeds": [0],
+                "config": {
+                    "algorithm": "sml",
+                    "num_updates": 6,
+                    "num_hidden": 5,
+                    "eval_interval": 3,
+                    **(config or {}),
+                },
+            }
+        ],
+    }
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+def write_config(path, text):
+    path.write_text(text)
+    return str(path)
 
 
 class TestTrainCommand:
@@ -275,3 +311,132 @@ class TestParallelJobs:
         for csv_seq in (tmp_path / "seq").glob("*.csv"):
             csv_par = tmp_path / "par" / csv_seq.name
             assert csv_seq.read_bytes() == csv_par.read_bytes()
+
+
+# Each case builds (argv, output directory) in a temporary directory. Every
+# one is a bad setting, so it must exit 1 before any run starts.
+BAD_SETTINGS = {
+    "negative seed": lambda d: (tiny_train_args(d / "out", ("--seed", "-1")), d / "out"),
+    "negative data seed": lambda d: (
+        tiny_train_args(d / "out", ("--data-seed", "-1")), d / "out"
+    ),
+    "zero image side": lambda d: (tiny_train_args(d / "out", ("--image-side", "0")), d / "out"),
+    "negative eval size": lambda d: (
+        tiny_train_args(d / "out", ("--eval-size", "-3")), d / "out"
+    ),
+    "plan config typo": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", config={"learning_rat": 0.1}),
+         "--out", str(d / "out")],
+        d / "out",
+    ),
+    "plan dataset typo": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", dataset={"image_sid": 3}),
+         "--out", str(d / "out")],
+        d / "out",
+    ),
+    "field name as file key": lambda d: (
+        tiny_train_args(d / "out", ("--config", write_config(d / "c.cfg", "learning_rate = 0.5\n"))),
+        d / "out",
+    ),
+    "fractional file count": lambda d: (
+        tiny_train_args(d / "out", ("--config", write_config(d / "c.cfg", "updates = 4.5\n"))),
+        d / "out",
+    ),
+    "word as file count": lambda d: (
+        tiny_train_args(d / "out", ("--config", write_config(d / "c.cfg", 'hidden = "two"\n'))),
+        d / "out",
+    ),
+    "flag with plan": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json"), "--hidden", "0", "--out", str(d / "out")],
+        d / "out",
+    ),
+    "config file with plan": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json"),
+         "--config", write_config(d / "c.cfg", "eval-size = -1\n"), "--out", str(d / "out")],
+        d / "out",
+    ),
+    "grid seed": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json"), "--seed", "3", "--out", str(d / "out")],
+        d / "out",
+    ),
+    "grid seed in file": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json"),
+         "--config", write_config(d / "c.cfg", "seed = 3\n"), "--out", str(d / "out")],
+        d / "out",
+    ),
+}
+
+
+class TestSettings:
+    @pytest.mark.parametrize("case", list(BAD_SETTINGS), ids=list(BAD_SETTINGS))
+    def test_bad_setting_exits_before_any_run(self, tmp_path, case):
+        argv, out = BAD_SETTINGS[case](tmp_path)
+        assert exit_code(argv) == cli.USAGE_ERROR
+        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_unknown_key_names_file_line_and_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", "# lr typo\nupdates = 10\nlearning_rate = 0.5\n")
+        assert exit_code(["train", "--config", cfg, "--out", str(tmp_path)]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"{cfg}:3" in err and "'learning_rate'" in err and "'lr'" in err
+
+    def test_bad_file_value_names_file_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", "updates = 4.5\n")
+        assert exit_code(["train", "--config", cfg, "--out", str(tmp_path)]) == cli.USAGE_ERROR
+        assert f"{cfg}:1" in capsys.readouterr().err
+
+    def test_flags_and_file_apply_to_plan(self, tmp_path):
+        # flag over file over plan: updates from the flag, hidden from the
+        # file, eval interval from the plan
+        plan = write_plan(tmp_path / "p.json")
+        cfg = write_config(tmp_path / "c.cfg", "updates = 4\nhidden = 3\n")
+        out = tmp_path / "out"
+        argv = ["grid", "--plan", plan, "--config", cfg, "--updates", "2", "--out", str(out)]
+        assert exit_code(argv) == 0
+        config = json.loads((out / "planned__seed0.json").read_text())["config"]
+        assert (config["num_updates"], config["num_hidden"]) == (2, 3)
+        assert config["eval_interval"] == 3
+        assert [r.update_index for r in read_metrics_csv(out / "planned__seed0.csv")] == [0, 2]
+
+    def test_file_values_take_their_flag_types(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", "lr = 1\nladder = 'geometric'\nbeta_lr = 0\n")
+        args = cli.build_parser().parse_args(["train", "--config", cfg])
+        config = cli.train_plan(args).runs[0].config
+        assert config.learning_rate == 1.0 and isinstance(config.learning_rate, float)
+        assert config.initial_ladder == "geometric"
+        assert config.adaptation.beta_learning_rate == 0.0
+
+    def test_every_setting_names_a_field(self):
+        targets = {
+            "run": experiment.PlannedRun,
+            "config": TrainConfig,
+            "adaptation": AdaptationConfig,
+            "dataset": experiment.DatasetSettings,
+        }
+        for flag, setting in cli.SETTINGS.items():
+            fields = {f.name for f in dataclasses.fields(targets[setting.target])}
+            assert setting.field in fields, flag
+
+    def test_plan_records_reject_unknown_keys(self):
+        with pytest.raises(ValueError, match="learning_rat"):
+            experiment.config_from_dict({"learning_rat": 0.1})
+        with pytest.raises(ValueError, match="beta_lr"):
+            experiment.config_from_dict({"adaptation": {"beta_lr": 0.1}})
+        with pytest.raises(ValueError, match="image_sid"):
+            experiment.plan_from_dict({"dataset": {"image_sid": 3}})
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"image_side": 0}, {"eval_size": -1}, {"data_seed": -1}], ids=str
+    )
+    def test_dataset_settings_validate(self, kwargs):
+        with pytest.raises(ValueError):
+            experiment.DatasetSettings(**kwargs)
+
+    def test_seeds_must_be_nonnegative(self):
+        with pytest.raises(ValueError):
+            TrainConfig(seed=-1)
+        with pytest.raises(ValueError):
+            experiment.ExperimentPlan(
+                runs=[experiment.PlannedRun("run", TrainConfig(), [0, -2])]
+            )

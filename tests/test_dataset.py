@@ -42,10 +42,9 @@ class TestDefaultSpec:
 class TestSampling:
     def test_noise_free_samples_are_prototypes(self):
         spec = toy_spec(flip=(0.0, 0.0, 0.0))
-        rng = np.random.default_rng(31)
         rows = {tuple(r) for r in spec.prototypes}
-        for _ in range(50):
-            assert tuple(dataset.sample(spec, rng)) in rows
+        for row in dataset.sample_batch(spec, np.random.default_rng(31), 50):
+            assert tuple(row) in rows
 
     def test_single_component(self):
         proto = (np.random.default_rng(32).random((5, 6)) < 0.5).astype(float)
@@ -159,26 +158,3 @@ class TestSamplerDensityAgreement:
         assert exact.sum() == pytest.approx(1.0, rel=1e-12)
         assert total_variation(counts, exact) < 0.01
 
-
-class TestSerialization:
-    def test_spec_json_roundtrip(self):
-        spec = dataset.default_spec(np.random.default_rng(39), image_side=3)
-        text = dataset.spec_to_json(spec, seed=39)
-        back = dataset.spec_from_json(text)
-        assert (back.prototypes == spec.prototypes).all()
-        assert back.weights == pytest.approx(spec.weights)
-        assert back.flip_probs == pytest.approx(spec.flip_probs)
-        assert back.image_side == 3
-
-    def test_snapshot_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(40)
-        data = (rng.random((17, 13)) < 0.5).astype(float)
-        path = tmp_path / "snap.bits"
-        dataset.save_snapshot(path, data)
-        assert (dataset.load_snapshot(path) == data).all()
-
-    def test_snapshot_rejects_other_files(self, tmp_path):
-        path = tmp_path / "junk.bits"
-        path.write_bytes(b"nope")
-        with pytest.raises(ValueError):
-            dataset.load_snapshot(path)

@@ -10,6 +10,7 @@ from oracles import (
     brute_joint_distribution,
     enumerate_bits,
     random_params,
+    reference_energy,
     reference_gibbs_sweep,
     same_bits,
     state_index,
@@ -21,26 +22,36 @@ def tiny_params():
     return rbm.RbmParams(np.array([[1.0]]), np.array([0.5]), np.array([-0.25]))
 
 
+def one_state(visible, hidden):
+    """A batch of one joint state, as `energies` and the Gibbs kernel take it."""
+    return np.array([visible], dtype=float), np.array([hidden], dtype=float)
+
+
+class PresetUniforms:
+    """Stands in for the Generator: each `random` call returns the next preset
+    block, so a Gibbs draw shows on which side of its probability a uniform
+    falls (a unit turns on when its uniform is below its probability)."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def random(self, shape):
+        return np.broadcast_to(self.blocks.pop(0), shape).astype(np.float64)
+
+
 class TestEnergy:
     def test_all_zero_params(self):
         p = rbm.RbmParams(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
-        s = rbm.JointState(np.array([1.0, 0.0, 1.0]), np.array([1.0, 1.0]))
-        assert rbm.energy(p, s) == 0.0
+        assert rbm.energies(p, *one_state([1.0, 0.0, 1.0], [1.0, 1.0])) == [0.0]
 
     def test_zero_state(self):
         p = random_params(np.random.default_rng(0), 3, 2)
-        s = rbm.JointState(np.zeros(3), np.zeros(2))
-        assert rbm.energy(p, s) == 0.0
+        assert rbm.energies(p, *one_state(np.zeros(3), np.zeros(2))) == [0.0]
 
     def test_hand_case(self):
         # -(1*1*1 + 0.5*1 + (-0.25)*1), checked against a term-by-term oracle
-        s = rbm.JointState(np.array([1.0]), np.array([1.0]))
-        assert rbm.energy(tiny_params(), s) == pytest.approx(-1.25, abs=0)
-
-    def test_shape_mismatch(self):
-        s = rbm.JointState(np.array([1.0, 0.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            rbm.energy(tiny_params(), s)
+        got = rbm.energies(tiny_params(), *one_state([1.0], [1.0]))
+        assert got == pytest.approx([-1.25], abs=0)
 
     def test_linearity_in_params(self):
         rng = np.random.default_rng(1)
@@ -52,11 +63,9 @@ class TestEnergy:
             p1.visible_bias + p2.visible_bias,
         )
         for _ in range(20):
-            s = rbm.JointState(
-                (rng.random(4) < 0.5).astype(float), (rng.random(3) < 0.5).astype(float)
-            )
-            assert rbm.energy(both, s) == pytest.approx(
-                rbm.energy(p1, s) + rbm.energy(p2, s), rel=1e-12
+            s = one_state(rng.random(4) < 0.5, rng.random(3) < 0.5)
+            assert rbm.energies(both, *s) == pytest.approx(
+                rbm.energies(p1, *s) + rbm.energies(p2, *s), rel=1e-12
             )
 
     @pytest.mark.parametrize(
@@ -71,7 +80,7 @@ class TestEnergy:
         assert batch.shape == (m,)
         for i in range(m):
             assert batch[i] == pytest.approx(
-                rbm.energy(p, rbm.JointState(visible[i], hidden[i])), rel=1e-12
+                reference_energy(p, visible[i], hidden[i]), rel=1e-12
             )
 
 
@@ -81,7 +90,15 @@ class TestConditionals:
         v = np.array([1.0, 0.0, 1.0, 1.0])
         h = np.array([1.0, 0.0])
         assert rbm.hidden_conditional(p, v, 0.0) == pytest.approx([0.5, 0.5], abs=0)
-        assert rbm.visible_conditional(p, h, 0.0) == pytest.approx([0.5] * 4, abs=0)
+        # the Gibbs kernel's p_0(v | h) is exactly 1/2: a uniform of 1/2 draws
+        # 0 and the next float below it draws 1
+        below = np.nextafter(0.5, 0.0)
+        for u, want in ((0.5, 0.0), (below, 1.0)):
+            visible, hidden = rbm.gibbs_sweep_chains(
+                p, v[None], h[None], np.zeros(1), 1, PresetUniforms(1.0 - h, u)
+            )
+            assert (hidden[0] == h).all()
+            assert (visible[0] == want).all()
 
     def test_zero_params_give_half(self):
         p = rbm.RbmParams(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
@@ -94,9 +111,15 @@ class TestConditionals:
         assert got == pytest.approx([0.6224593312018546], rel=1e-12)
 
     def test_visible_hand_case(self):
+        # the Gibbs kernel's p(v = 1 | h = 1) = sigmoid(3) to rel 1e-12: a
+        # uniform that far below it draws 1, one that far above draws 0
         p = rbm.RbmParams(np.array([[2.0]]), np.array([0.0]), np.array([1.0]))
-        got = rbm.visible_conditional(p, np.array([1.0]), 1.0)
-        assert got == pytest.approx([0.9525741268224334], rel=1e-12)
+        want = 0.9525741268224334
+        for u, v in ((want * (1 - 1e-12), 1.0), (want * (1 + 1e-12), 0.0)):
+            visible, hidden = rbm.gibbs_sweep_chains(
+                p, *one_state([1.0], [0.0]), np.ones(1), 1, PresetUniforms(0.0, u)
+            )
+            assert hidden[0, 0] == 1.0 and visible[0, 0] == v
 
     def test_conditional_matches_enumeration(self):
         # p_b(h_i=1 | v) from the joint table equals the logistic formula
@@ -153,12 +176,12 @@ class TestGibbs:
     def test_beta_zero_fair_coins(self):
         p = random_params(np.random.default_rng(5), 3, 2, scale=10.0)
         rng = np.random.default_rng(6)
-        s = rbm.JointState(np.ones(3), np.ones(2))
+        visible, hidden = one_state(np.ones(3), np.ones(2))
         bits = np.zeros(5)
         n = 20_000
         for _ in range(n):
-            s2 = rbm.gibbs_step(p, s, 0.0, rng)
-            bits += np.concatenate([s2.visible, s2.hidden])
+            v2, h2 = rbm.gibbs_sweep_chains(p, visible, hidden, np.zeros(1), 1, rng)
+            bits += np.concatenate([v2[0], h2[0]])
         assert np.abs(bits / n - 0.5).max() < 0.02
 
     def test_strong_coupling_transitions(self):
@@ -168,13 +191,13 @@ class TestGibbs:
         for sign in (1.0, -1.0):
             k = 6.0 * sign
             p = rbm.RbmParams(np.array([[k]]), np.zeros(1), np.zeros(1))
-            start = rbm.JointState(np.array([1.0]), np.array([0.0]))
+            start = one_state([1.0], [0.0])
             h_hits = 0
             v_hits = 0
             for _ in range(n):
-                s2 = rbm.gibbs_step(p, start, 1.0, rng)
-                h_hits += s2.hidden[0] == 1.0
-                v_hits += s2.visible[0] == 1.0
+                v2, h2 = rbm.gibbs_sweep_chains(p, *start, np.ones(1), 1, rng)
+                h_hits += h2[0, 0] == 1.0
+                v_hits += v2[0, 0] == 1.0
             p_h = 1.0 / (1.0 + np.exp(-k))
             p_v = p_h * p_h + (1 - p_h) * 0.5  # v'=1 via h=1 or the undriven h=0
             assert abs(h_hits / n - p_h) < 4 * np.sqrt(0.25 / n) + 1e-3
@@ -184,16 +207,16 @@ class TestGibbs:
         # long single chain on a 4x3 model vs the exact tempered joint
         rng = np.random.default_rng(8)
         p = random_params(rng, 4, 3, scale=0.4)
-        beta = 0.8
-        exact = brute_joint_distribution(p, beta).T.ravel()  # [v, h] order
-        s = rbm.JointState(np.zeros(4), np.zeros(3))
+        beta = np.array([0.8])
+        exact = brute_joint_distribution(p, beta[0]).T.ravel()  # [v, h] order
+        visible, hidden = one_state(np.zeros(4), np.zeros(3))
         n = 1_000_000
         counts = np.zeros(1 << 7)
         weights_v = 1 << np.arange(4)
         weights_h = 1 << np.arange(3)
         for _ in range(n):
-            s = rbm.gibbs_step(p, s, beta, rng)
-            idx = int(s.visible @ weights_v) * 8 + int(s.hidden @ weights_h)
+            visible, hidden = rbm.gibbs_sweep_chains(p, visible, hidden, beta, 1, rng)
+            idx = int(visible[0] @ weights_v) * 8 + int(hidden[0] @ weights_h)
             counts[idx] += 1
         assert total_variation(counts / n, exact) < 0.01
 
@@ -317,10 +340,6 @@ class TestParamsPlumbing:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             rbm.RbmParams(np.zeros((2, 3)), np.zeros(3), np.zeros(3))
-
-    def test_state_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            rbm.JointState(np.array([0.5]), np.array([1.0]))
 
     def test_save_load_roundtrip(self, tmp_path):
         p = random_params(np.random.default_rng(18), 6, 4, scale=2.0)

@@ -182,12 +182,6 @@ class TestTrainLoop:
         assert result.diverged_at is not None
         assert result.metrics[-1].update_index == result.diverged_at
 
-    def test_probe_batch_when_stream_is_plain_callable(self):
-        rng_data = np.random.default_rng(55)
-        stream = lambda rng, n: (rng_data.random((n, 6)) < 0.5).astype(float)
-        result = training.train(small_config(num_updates=5), stream)
-        assert result.params.num_visible == 6
-
 
 class TestDeterminism:
     def test_metrics_csv_is_byte_identical(self, tmp_path):
