@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_grid, "grid")
     p_grid.add_argument("--preset", choices=_PRESETS)
     p_grid.add_argument("--plan", help="experiment plan JSON file")
-    p_grid.add_argument("--scale", choices=("full", "ci"), default="full")
-    p_grid.add_argument("--num-seeds", type=int, default=5)
+    p_grid.add_argument("--scale", choices=("full", "ci"), help="preset scale (default full)")
+    p_grid.add_argument("--num-seeds", type=int, help="preset seeds per label (default 5)")
     p_grid.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
     p_sum = sub.add_parser("summarize", help="print the per-label summary table")
@@ -192,16 +192,22 @@ def train_plan(args) -> ExperimentPlan:
 def grid_plan(args) -> ExperimentPlan:
     if bool(args.preset) == bool(args.plan):
         raise ValueError("grid needs exactly one of --preset or --plan")
+    # given flags only, so that comparison_plan's defaults apply to the rest
+    shape = {
+        name: getattr(args, name)
+        for name in ("scale", "num_seeds")
+        if getattr(args, name) is not None
+    }
     if args.plan:
+        if shape:
+            flag = next(iter(shape)).replace("_", "-")
+            raise ValueError(f"--{flag} shapes the presets only, not a --plan")
         plan = load_plan(args.plan)
         if args.out is not None:
             plan.output_dir = args.out
     else:
         plan = comparison_plan(
-            _default_outdir(args),
-            scale=args.scale,
-            num_seeds=args.num_seeds,
-            grid=args.preset == "comparison-grid",
+            _default_outdir(args), grid=args.preset == "comparison-grid", **shape
         )
     return apply_settings(plan, _setting_values(args))
 

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,22 +80,38 @@ def config_to_dict(config: TrainConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-def _known_keys(record: dict, cls, where: str) -> dict:
-    """`record`, once every key is a field of the dataclass `cls`."""
+def _typed(value, want: type, where: str):
+    """`value` if its type is exactly `want`, so no bool passes for an int
+    and no float for an int; an int passes, as a float, where a float is
+    wanted. A ValueError naming `where` otherwise."""
+    if want is float and type(value) is int:
+        return float(value)
+    if type(value) is not want:
+        raise ValueError(f"{where}: expected {want.__name__}, got {value!r}")
+    return value
+
+
+def _fields(record: dict, cls, where: str) -> dict:
+    """`record` as keyword arguments of the dataclass `cls`, once every key
+    names a field and every value has its field's type."""
+    _typed(record, dict, where)
+    types = typing.get_type_hints(cls)
     unknown = sorted(set(record) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
-    return record
+    return {
+        key: _typed(value, types[key], f"{where} key {key!r}") for key, value in record.items()
+    }
 
 
 def config_from_dict(record: dict) -> TrainConfig:
-    record = dict(_known_keys(record, TrainConfig, "config"))
+    record = dict(_typed(record, dict, "config"))
     adaptation = record.pop("adaptation", None)
-    if isinstance(adaptation, dict):
-        adaptation = AdaptationConfig(**_known_keys(adaptation, AdaptationConfig, "adaptation"))
-    elif adaptation is None:
+    if adaptation is None:
         adaptation = AdaptationConfig()
-    return TrainConfig(adaptation=adaptation, **record)
+    else:
+        adaptation = AdaptationConfig(**_fields(adaptation, AdaptationConfig, "adaptation"))
+    return TrainConfig(adaptation=adaptation, **_fields(record, TrainConfig, "config"))
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
@@ -113,16 +130,23 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def plan_from_dict(record: dict) -> ExperimentPlan:
-    data = DatasetSettings(**_known_keys(record.get("dataset", {}), DatasetSettings, "dataset"))
-    runs = [
-        PlannedRun(
-            label=entry["label"],
-            config=config_from_dict(entry["config"]),
-            seeds=[int(s) for s in entry["seeds"]],
+    _typed(record, dict, "plan")
+    data = DatasetSettings(**_fields(record.get("dataset", {}), DatasetSettings, "dataset"))
+    runs = []
+    for entry in _typed(record.get("runs", []), list, "plan key 'runs'"):
+        _typed(entry, dict, "plan run")
+        # a missing key reads as None, which no type check passes
+        label = _typed(entry.get("label"), str, "run key 'label'")
+        seeds = _typed(entry.get("seeds"), list, f"seeds of {label!r}")
+        runs.append(
+            PlannedRun(
+                label=label,
+                config=config_from_dict(entry.get("config")),
+                seeds=[_typed(seed, int, f"seeds of {label!r}") for seed in seeds],
+            )
         )
-        for entry in record.get("runs", [])
-    ]
-    return ExperimentPlan(runs=runs, data=data, output_dir=record.get("output_dir", "."))
+    output_dir = _typed(record.get("output_dir", "."), str, "plan key 'output_dir'")
+    return ExperimentPlan(runs=runs, data=data, output_dir=output_dir)
 
 
 def load_plan(path) -> ExperimentPlan:

@@ -25,6 +25,13 @@ EXACT_LAYER_CAP = 25
 # States enumerated per block when summing out a layer, to bound memory.
 _ENUM_BLOCK = 4096
 
+# Entries from which the Gibbs kernel's logistic uses numpy's vectorised exp
+# rather than scipy's expit, whose loop calls scalar libm exp per entry. Timed
+# on a 2-vCPU Xeon (numpy 2.4, AVX-512) the two break even between 640 and
+# 1024 entries; at 39 200 (50 chains x 784 units) the vectorised form is
+# about 3x faster.
+_VECTOR_LOGISTIC_MIN = 1024
+
 
 # Row-wise dot product of two (m, n) arrays. np.vecdot (numpy >= 2.0) is one
 # gufunc call, several times cheaper than einsum's setup at chain-batch sizes.
@@ -115,6 +122,22 @@ def hidden_conditional(params: RbmParams, visible: np.ndarray, beta: float) -> n
     return expit(act, out=act)
 
 
+def _logistic_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite x with 1 / (1 + exp(-x)), the formula expit evaluates.
+
+    From `_VECTOR_LOGISTIC_MIN` entries on, exp is numpy's vectorised one,
+    which may differ from libm's by 1 ulp; below it, expit itself. An
+    overflowing exp gives 1 / inf = 0, as expit does, without a warning.
+    """
+    if x.size < _VECTOR_LOGISTIC_MIN:
+        return expit(x, out=x)
+    np.negative(x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
+
+
 def gibbs_sweep_chains(
     params: RbmParams,
     visible: np.ndarray,
@@ -127,10 +150,17 @@ def gibbs_sweep_chains(
     h ~ p_beta(h | v) = logistic(beta (b + W v)), then v ~ p_beta(v | h) =
     logistic(beta (c + W' h)).
 
-    Draw order is hidden then visible, one uniform block per phase. Each
-    phase works in place on its pre-activation and uniform buffers (same
-    operations in the same order, so the same bits as the out-of-place
-    formula); the input arrays are not modified.
+    Draw order is hidden then visible, one uniform block per phase, and
+    each unit is 1 when its uniform falls below its probability. Each phase
+    works in place on its pre-activation and uniform buffers; the input
+    arrays are not modified.
+
+    A phase with fewer than `_VECTOR_LOGISTIC_MIN` entries takes its
+    probabilities from expit, so its draws are those of the reference
+    formula bit for bit. A larger phase uses numpy's vectorised exp, which
+    may put a probability up to 2 ulp away from expit's; only the 0/1
+    draws leave this function, and a draw changes only when its uniform
+    falls inside that band, which has probability at most 2^-52 per draw.
     """
     b = betas[:, None]
     weights = params.weights
@@ -141,13 +171,13 @@ def gibbs_sweep_chains(
         ph = visible @ weights_t
         ph += hidden_bias
         ph *= b
-        expit(ph, out=ph)
+        _logistic_inplace(ph)
         hidden = rng.random(ph.shape)
         np.less(hidden, ph, out=hidden)
         pv = hidden @ weights
         pv += visible_bias
         pv *= b
-        expit(pv, out=pv)
+        _logistic_inplace(pv)
         visible = rng.random(pv.shape)
         np.less(visible, pv, out=visible)
     return visible, hidden
@@ -187,8 +217,14 @@ def exact_log_partition(
     chunk_logs = []
     for start in range(0, total, _ENUM_BLOCK):
         states = _bit_patterns(n_enum, start, min(start + _ENUM_BLOCK, total))
-        act = beta * (states @ cross.T + bias_other)
-        terms = beta * (states @ bias_enum) + np.logaddexp(0.0, act).sum(axis=1)
+        # in place on the fresh products, skipping a factor of 1.0: the same bits
+        act = states @ cross.T
+        act += bias_other
+        terms = states @ bias_enum
+        if beta != 1.0:
+            act *= beta
+            terms *= beta
+        terms += np.logaddexp(0.0, act, out=act).sum(axis=1)
         chunk_logs.append(logsumexp(terms))
     return float(logsumexp(np.array(chunk_logs)))
 
@@ -199,10 +235,14 @@ def free_energy(params: RbmParams, visible: np.ndarray, beta: float = 1.0) -> np
     Accepts a single vector (nv,) or a batch (m, nv).
     """
     beta = _check_beta(beta)
-    act = beta * (visible @ params.weights.T + params.hidden_bias)
-    return -(
-        beta * (visible @ params.visible_bias) + np.logaddexp(0.0, act).sum(axis=-1)
-    )
+    # in place on the fresh products, skipping a factor of 1.0: the same bits
+    act = visible @ params.weights.T
+    act += params.hidden_bias
+    visible_term = visible @ params.visible_bias
+    if beta != 1.0:
+        act *= beta
+        visible_term = beta * visible_term
+    return -(visible_term + np.logaddexp(0.0, act, out=act).sum(axis=-1))
 
 
 def exact_log_likelihood(

@@ -7,9 +7,12 @@ learning-rate x beta-learning-rate cell grid, 5 seeds per cell) and judge
 per-algorithm best cells by median final log-likelihood across seeds.
 Everything is deterministic: seeds, dataset, and assertions are fixed ahead
 of the run. Set RBMPT_ACCEPTANCE_CACHE=/some/dir to keep the campaign's
-artifacts between invocations while iterating; it is rebuilt when absent.
+artifacts between invocations while iterating; it is rebuilt when absent or
+when its fingerprint (a sha256 of the package source and the plan, stored
+next to the manifest) differs.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -21,7 +24,13 @@ import pytest
 from rbmpt import adaptation, rbm, tempering
 from rbmpt.adaptation import AdaptationConfig
 from rbmpt.cli import main as cli_main
-from rbmpt.experiment import DatasetSettings, build_dataset, comparison_plan, run_experiment
+from rbmpt.experiment import (
+    DatasetSettings,
+    build_dataset,
+    comparison_plan,
+    plan_to_dict,
+    run_experiment,
+)
 from rbmpt.tempering import Ensemble
 from rbmpt.training import TrainConfig, read_metrics_csv, train
 from rbmpt import dataset as ds
@@ -56,18 +65,35 @@ def report(name: str, passed: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 # shared campaign
 
+FINGERPRINT_NAME = "fingerprint.sha256"
+
+
+def campaign_fingerprint(plan) -> str:
+    """sha256 of the package's source files and of the plan: a cached
+    campaign is reused only when both are unchanged."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(rbm.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    digest.update(json.dumps(plan_to_dict(plan), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="session")
 def grid_dir(tmp_path_factory) -> Path:
     cache = os.environ.get("RBMPT_ACCEPTANCE_CACHE")
-    if cache:
-        out = Path(cache)
-        if (out / "manifest.json").exists():
-            return out
-        out.mkdir(parents=True, exist_ok=True)
-    else:
-        out = tmp_path_factory.mktemp("comparison_grid")
+    out = Path(cache) if cache else tmp_path_factory.mktemp("comparison_grid")
     plan = comparison_plan(out, scale="ci", num_seeds=5, grid=True)
+    if not cache:
+        run_experiment(plan)
+        return out
+    fingerprint = campaign_fingerprint(plan)
+    stamp = out / FINGERPRINT_NAME
+    if (out / "manifest.json").exists() and stamp.exists() and stamp.read_text() == fingerprint:
+        return out
+    out.mkdir(parents=True, exist_ok=True)
+    stamp.unlink(missing_ok=True)  # an interrupted rebuild must not pass as current
     run_experiment(plan)
+    stamp.write_text(fingerprint)
     return out
 
 

@@ -176,6 +176,14 @@ class TestGridCommand:
     def test_needs_exactly_one_source(self, tmp_path):
         assert run_cli(["grid", "--out", str(tmp_path)]) == cli.USAGE_ERROR
 
+    @pytest.mark.parametrize("flag, value", [("--scale", "ci"), ("--num-seeds", "3")])
+    def test_preset_shape_flags_refuse_a_plan(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        argv = ["grid", "--plan", write_plan(tmp_path / "p.json"), flag, value, "--out", str(out)]
+        assert exit_code(argv) == cli.USAGE_ERROR
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plan_invariants(self):
         from rbmpt.training import TrainConfig
 
@@ -364,6 +372,11 @@ BAD_SETTINGS = {
          "--config", write_config(d / "c.cfg", "seed = 3\n"), "--out", str(d / "out")],
         d / "out",
     ),
+    "fractional plan count": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", config={"num_updates": 4.5}),
+         "--out", str(d / "out")],
+        d / "out",
+    ),
 }
 
 
@@ -425,6 +438,36 @@ class TestSettings:
             experiment.config_from_dict({"adaptation": {"beta_lr": 0.1}})
         with pytest.raises(ValueError, match="image_sid"):
             experiment.plan_from_dict({"dataset": {"image_sid": 3}})
+
+    def test_plan_values_need_their_field_types(self):
+        # an int passes where a float is wanted, and becomes one
+        config = experiment.config_from_dict(
+            {"learning_rate": 1, "adaptation": {"beta_learning_rate": 0}}
+        )
+        assert type(config.learning_rate) is float and config.learning_rate == 1.0
+        assert type(config.adaptation.beta_learning_rate) is float
+        for config in (
+            {"num_updates": 4.5},
+            {"num_hidden": True},
+            {"learning_rate": "0.1"},
+            {"algorithm": 1},
+            {"adaptation": {"max_chains": 2.0}},
+            {"adaptation": [0.1]},
+        ):
+            with pytest.raises(ValueError, match="expected"):
+                experiment.config_from_dict(config)
+        for record in (
+            {"dataset": {"eval_size": 10.0}},
+            {"runs": [{"label": "a", "seeds": [0.5], "config": {}}]},
+            {"runs": [{"label": 3, "seeds": [0], "config": {}}]},
+            {"runs": [{"label": "a", "config": {}}]},
+            {"runs": [{"label": "a", "seeds": [0]}]},
+            {"runs": ["a"]},
+            {"output_dir": 7},
+            [1],
+        ):
+            with pytest.raises(ValueError, match="expected"):
+                experiment.plan_from_dict(record)
 
     @pytest.mark.parametrize(
         "kwargs", [{"image_side": 0}, {"eval_size": -1}, {"data_seed": -1}], ids=str

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -148,16 +150,28 @@ class TestConditionals:
             rbm.hidden_conditional(tiny_params(), np.array([1.0]), 1.5)
 
 
+# How far the Gibbs kernel's logistic may be from expit, in spacings of
+# expit's value: fixed before the test was first run.
+LOGISTIC_ULPS = 4
+
+
 class TestGibbs:
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize(
         "nv, nh, betas",
-        [(4, 3, [1.0, 0.6, 0.3, 0.0]), (64, 5, np.linspace(1.0, 0.0, 10))],
-        ids=["4x3", "64x5"],
+        [
+            (4, 3, [1.0, 0.6, 0.3, 0.0]),
+            (64, 5, np.linspace(1.0, 0.0, 10)),
+            # 50 chains: the visible phase crosses to the vectorised logistic,
+            # and at 64x30 the hidden phase too
+            (784, 10, np.linspace(1.0, 0.0, 50)),
+            (64, 30, np.linspace(1.0, 0.0, 50)),
+        ],
+        ids=["4x3", "64x5", "784x10", "64x30"],
     )
     def test_sweep_chains_stream_matches_reference(self, nv, nh, betas, steps):
-        # the batched kernel must draw exactly the reference formula's bits
-        # and leave the generator in the same state
+        # the batched kernel must draw exactly the expit formula's bits and
+        # leave the generator in the same state
         rng = np.random.default_rng(60)
         p = random_params(rng, nv, nh, scale=1.5)
         betas = np.array(betas)
@@ -172,6 +186,22 @@ class TestGibbs:
         assert got[0].dtype == got[1].dtype == np.float64
         assert np.array_equal(visible, v_in) and np.array_equal(hidden, h_in)
         assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("vectorised", [False, True], ids=["expit", "vectorised"])
+    def test_logistic_matches_expit_on_both_sides(self, vectorised):
+        grid = np.array([0.0, 1e-300, 36.0, 37.0, 709.0, 710.0, 800.0, np.inf])
+        grid = np.concatenate([grid, -grid])
+        size = rbm._VECTOR_LOGISTIC_MIN if vectorised else grid.size
+        assert (size >= rbm._VECTOR_LOGISTIC_MIN) == vectorised
+        x = np.resize(grid, size)
+        beta_zero = np.resize(grid[np.isfinite(grid)], size) * 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rbm._logistic_inplace(x.copy())
+            half = rbm._logistic_inplace(beta_zero)
+        want = expit(x)
+        assert np.all(np.abs(got - want) <= LOGISTIC_ULPS * np.spacing(want))
+        assert np.all(half == 0.5)
 
     def test_beta_zero_fair_coins(self):
         p = random_params(np.random.default_rng(5), 3, 2, scale=10.0)
