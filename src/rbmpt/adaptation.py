@@ -60,6 +60,34 @@ class SpawnEvent:
     num_chains: int
 
 
+# m -> the interior levels 1 - i/(m-1), 0 < i < m-1, that the respacing inverts
+_LEVELS_CACHE: dict[int, np.ndarray] = {}
+
+
+def _interior_levels(m: int) -> np.ndarray:
+    cached = _LEVELS_CACHE.get(m)
+    if cached is None:
+        cached = (1.0 - np.arange(m) / (m - 1))[1:-1]
+        cached.setflags(write=False)
+        _LEVELS_CACHE[m] = cached
+    return cached
+
+
+def _interior_targets(betas, f: list[float]) -> np.ndarray:
+    """Equal-mass targets of the interior slots of a ladder of m >= 3 betas.
+
+    Pins the ends of `f` (a list of Python floats, clamped in place) to 1 and
+    0, clamps it to be strictly decreasing, then inverts its interpolant.
+    """
+    m = len(f)
+    f[0] = 1.0
+    f[-1] = 0.0
+    prev = 1.0
+    for i in range(1, m):
+        prev = f[i] = min(f[i], prev - _STRICT_EPS)
+    return np.interp(_interior_levels(m), f[::-1], betas[::-1])
+
+
 def optimal_betas(betas: np.ndarray, fup: np.ndarray) -> np.ndarray:
     """Equal-mass ladder: betas at which the f_up interpolant hits the levels
     1 - i/(M-1), so that f_up becomes linear in the chain index.
@@ -73,16 +101,9 @@ def optimal_betas(betas: np.ndarray, fup: np.ndarray) -> np.ndarray:
     f = np.asarray(fup, dtype=np.float64).tolist()
     if not all(map(math.isfinite, f)):
         raise ValueError("f_up contains non-finite entries")
-    m = betas.shape[0]
-    if m <= 2:
-        return betas.copy()
-    f[0] = 1.0
-    f[-1] = 0.0
-    for i in range(1, m):
-        f[i] = min(f[i], f[i - 1] - _STRICT_EPS)
-    levels = 1.0 - np.arange(m) / (m - 1)
     targets = betas.copy()
-    targets[1:-1] = np.interp(levels[1:-1], f[::-1], betas[::-1])
+    if betas.shape[0] > 2:
+        targets[1:-1] = _interior_targets(betas, f)
     return targets
 
 
@@ -96,17 +117,20 @@ def adapt_betas(ensemble: Ensemble, config: AdaptationConfig) -> None:
     m = ensemble.num_chains
     if m <= 2:
         return
-    targets = optimal_betas(ensemble.betas, f_up(ensemble))
+    betas = ensemble.betas
+    t = _interior_targets(betas, ensemble.up_fractions()).tolist()
     mu = config.beta_learning_rate
     # one pass on Python floats does the step and the forward projection in
     # the same order as a vectorised step followed by the loop
-    b = ensemble.betas.tolist()
-    t = targets.tolist()
+    b = betas.tolist()
+    prev = b[0]
     for i in range(1, m - 1):
-        b[i] = min(b[i] + mu * (t[i] - b[i]), b[i - 1] - MIN_BETA_GAP)
+        bi = b[i]
+        prev = b[i] = min(bi + mu * (t[i - 1] - bi), prev - MIN_BETA_GAP)
+    prev = b[-1]
     for i in range(m - 2, 0, -1):
-        b[i] = max(b[i], b[i + 1] + MIN_BETA_GAP)
-    ensemble.betas[1:-1] = b[1:-1]
+        prev = b[i] = max(b[i], prev + MIN_BETA_GAP)
+    betas[1:-1] = b[1:-1]
 
 
 def average_swap_rate(ensemble: Ensemble) -> float:

@@ -192,6 +192,8 @@ def train_plan(args) -> ExperimentPlan:
 def grid_plan(args) -> ExperimentPlan:
     if bool(args.preset) == bool(args.plan):
         raise ValueError("grid needs exactly one of --preset or --plan")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be a positive integer")
     # given flags only, so that comparison_plan's defaults apply to the rest
     shape = {
         name: getattr(args, name)

@@ -42,26 +42,39 @@ class IntractableModelError(ValueError):
     """Raised when exact evaluation would require enumerating too large a layer."""
 
 
+def _split_flat(flat: np.ndarray, nh: int, nv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of weights, hidden bias and visible bias in a flat parameter buffer."""
+    k = nh * nv
+    return flat[:k].reshape(nh, nv), flat[k : k + nh], flat[k + nh :]
+
+
 @dataclass
 class RbmParams:
-    """Model parameters: weights (num_hidden x num_visible) plus bias vectors."""
+    """Model parameters: weights (num_hidden x num_visible) plus bias vectors.
+
+    The three arrays are copied into one contiguous float64 buffer, `flat`
+    (row-major weights, then hidden bias, then visible bias), and are views
+    of it, so a check over every parameter is one pass over `flat`.
+    """
 
     weights: np.ndarray
     hidden_bias: np.ndarray
     visible_bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.hidden_bias = np.asarray(self.hidden_bias, dtype=np.float64)
-        self.visible_bias = np.asarray(self.visible_bias, dtype=np.float64)
-        if self.weights.ndim != 2:
+        weights = np.asarray(self.weights, dtype=np.float64)
+        hidden_bias = np.asarray(self.hidden_bias, dtype=np.float64)
+        visible_bias = np.asarray(self.visible_bias, dtype=np.float64)
+        if weights.ndim != 2:
             raise ValueError("weights must be a matrix")
-        nh, nv = self.weights.shape
-        if self.hidden_bias.shape != (nh,) or self.visible_bias.shape != (nv,):
+        nh, nv = weights.shape
+        if hidden_bias.shape != (nh,) or visible_bias.shape != (nv,):
             raise ValueError(
-                f"bias shapes {self.hidden_bias.shape}/{self.visible_bias.shape} "
-                f"inconsistent with weights {self.weights.shape}"
+                f"bias shapes {hidden_bias.shape}/{visible_bias.shape} "
+                f"inconsistent with weights {weights.shape}"
             )
+        self.flat = np.concatenate([weights.ravel(), hidden_bias, visible_bias])
+        self.weights, self.hidden_bias, self.visible_bias = _split_flat(self.flat, nh, nv)
         if not self.all_finite():
             raise ValueError("parameters contain non-finite entries")
 
@@ -74,16 +87,10 @@ class RbmParams:
         return self.weights.shape[1]
 
     def all_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.weights).all()
-            and np.isfinite(self.hidden_bias).all()
-            and np.isfinite(self.visible_bias).all()
-        )
+        return bool(np.isfinite(self.flat).all())
 
     def copy(self) -> "RbmParams":
-        return RbmParams(
-            self.weights.copy(), self.hidden_bias.copy(), self.visible_bias.copy()
-        )
+        return RbmParams(self.weights, self.hidden_bias, self.visible_bias)
 
 
 def init_params(num_visible: int, num_hidden: int, rng: np.random.Generator) -> RbmParams:
@@ -113,29 +120,31 @@ def hidden_conditional(params: RbmParams, visible: np.ndarray, beta: float) -> n
 
     Accepts a single visible vector (nv,) or a batch (m, nv).
     """
-    beta = _check_beta(beta)
     # in place on the fresh product, skipping a factor of 1.0: the same bits
     act = visible @ params.weights.T
     act += params.hidden_bias
     if beta != 1.0:
-        act *= beta
+        act *= _check_beta(beta)
     return expit(act, out=act)
 
 
-def _logistic_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite x with 1 / (1 + exp(-x)), the formula expit evaluates.
-
-    From `_VECTOR_LOGISTIC_MIN` entries on, exp is numpy's vectorised one,
-    which may differ from libm's by 1 ulp; below it, expit itself. An
+def _vector_logistic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write 1 / (1 + exp(-x)), the formula expit evaluates, to `out`, with
+    numpy's vectorised exp, which may differ from libm's by 1 ulp. An
     overflowing exp gives 1 / inf = 0, as expit does, without a warning.
+    Called as `expit(x, out=x)` is, so the two are interchangeable.
     """
-    if x.size < _VECTOR_LOGISTIC_MIN:
-        return expit(x, out=x)
-    np.negative(x, out=x)
+    np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        np.exp(x, out=x)
-    x += 1.0
-    return np.reciprocal(x, out=x)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def _logistic_for(size: int):
+    """The logistic for a phase of `size` entries: expit below
+    `_VECTOR_LOGISTIC_MIN`, the vectorised form from there on."""
+    return expit if size < _VECTOR_LOGISTIC_MIN else _vector_logistic
 
 
 def gibbs_sweep_chains(
@@ -167,17 +176,21 @@ def gibbs_sweep_chains(
     weights_t = weights.T
     hidden_bias = params.hidden_bias
     visible_bias = params.visible_bias
+    m = visible.shape[0]
+    nh, nv = weights.shape
+    hidden_logistic = _logistic_for(m * nh)
+    visible_logistic = _logistic_for(m * nv)
     for _ in range(steps):
         ph = visible @ weights_t
         ph += hidden_bias
         ph *= b
-        _logistic_inplace(ph)
+        hidden_logistic(ph, out=ph)
         hidden = rng.random(ph.shape)
         np.less(hidden, ph, out=hidden)
         pv = hidden @ weights
         pv += visible_bias
         pv *= b
-        _logistic_inplace(pv)
+        visible_logistic(pv, out=pv)
         visible = rng.random(pv.shape)
         np.less(visible, pv, out=visible)
     return visible, hidden
@@ -259,15 +272,12 @@ def save_params(params: RbmParams, path) -> None:
     row-major weights, hidden_bias, visible_bias as little-endian float64."""
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", params.num_visible, params.num_hidden))
-        fh.write(np.ascontiguousarray(params.weights, dtype="<f8").tobytes())
-        fh.write(params.hidden_bias.astype("<f8").tobytes())
-        fh.write(params.visible_bias.astype("<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_params(path) -> RbmParams:
     with open(path, "rb") as fh:
         nv, nh = struct.unpack("<II", fh.read(8))
-        weights = np.frombuffer(fh.read(8 * nh * nv), dtype="<f8").reshape(nh, nv)
-        hidden_bias = np.frombuffer(fh.read(8 * nh), dtype="<f8")
-        visible_bias = np.frombuffer(fh.read(8 * nv), dtype="<f8")
-    return RbmParams(weights.copy(), hidden_bias.copy(), visible_bias.copy())
+        flat = np.frombuffer(fh.read(8 * (nh * nv + nh + nv)), dtype="<f8")
+    # RbmParams copies the three views into a buffer of its own
+    return RbmParams(*_split_flat(flat, nh, nv))

@@ -35,6 +35,12 @@ class Label(IntEnum):
 # expensive at one call per sweep
 _UNSET, _UP, _DOWN = int(Label.UNSET), int(Label.UP), int(Label.DOWN)
 
+# the label each row of the flow buffer counts: n_up, then n_down
+_FLOW_LABELS = np.array([[_UP], [_DOWN]])
+
+# what an accepted swap adds to its pair's rate estimate
+_SWAP_RATE_GAIN = 1.0 - SWAP_RATE_EMA_DECAY
+
 # (parity, num_chains) -> indices of that parity's pair left ends
 _PAIR_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -79,9 +85,10 @@ def geometric_ladder(num_chains: int, beta_floor: float = 0.01) -> np.ndarray:
 class Ensemble:
     """Ordered beta ladder with one persistent particle per slot.
 
-    Also carries the flow histograms n_up/n_down (EMA-smoothed), per-pair
-    swap-rate estimates, the return-time estimate tau_hat, the DEO parity,
-    and the post-spawn burn-in countdown.
+    Also carries the flow histograms (EMA-smoothed), per-pair swap-rate
+    estimates, the return-time estimate tau_hat, the DEO parity, and the
+    post-spawn burn-in countdown. The histograms live in one (2, M) buffer,
+    `flow`; `n_up` and `n_down` are views of its two rows.
     """
 
     def __init__(
@@ -106,8 +113,7 @@ class Ensemble:
         self.hidden = np.asarray(hidden, dtype=np.float64)
         self.labels = np.full(m, Label.UNSET, dtype=np.int64)
         self.counters = np.zeros(m, dtype=np.int64)
-        self.n_up = np.zeros(m)
-        self.n_down = np.zeros(m)
+        self._set_flow(np.zeros((2, m)))
         self.swap_rate_ema = np.ones(max(m - 1, 0))
         self.tau_hat = 1.0
         self.sweep_parity = 0
@@ -132,6 +138,21 @@ class Ensemble:
     def num_chains(self) -> int:
         return self.betas.shape[0]
 
+    def _set_flow(self, flow: np.ndarray) -> None:
+        self.flow = flow
+        self.n_up, self.n_down = flow
+
+    def up_fractions(self) -> list[float]:
+        """`f_up` as a list of Python floats."""
+        if self.num_chains == 1:
+            return [1.0]
+        up, down = self.flow.tolist()
+        # neither label seen yet: the neutral 0.5
+        interior = [
+            u / (u + d) if u + d > 0.0 else 0.5 for u, d in zip(up[1:-1], down[1:-1])
+        ]
+        return [1.0, *interior, 0.0]
+
     def insert_chain(self, slot: int, beta: float, source_slot: int) -> None:
         """Insert a fresh chain at `slot`, state copied from `source_slot`.
 
@@ -144,10 +165,8 @@ class Ensemble:
         self.hidden = np.insert(self.hidden, slot, self.hidden[source_slot], axis=0)
         self.labels = np.insert(self.labels, slot, Label.UNSET)
         self.counters = np.insert(self.counters, slot, 0)
-        up_init = 0.5 * (self.n_up[slot - 1] + self.n_up[slot])
-        down_init = 0.5 * (self.n_down[slot - 1] + self.n_down[slot])
-        self.n_up = np.insert(self.n_up, slot, up_init)
-        self.n_down = np.insert(self.n_down, slot, down_init)
+        flow_init = 0.5 * (self.flow[:, slot - 1] + self.flow[:, slot])
+        self._set_flow(np.insert(self.flow, slot, flow_init, axis=1))
         self.swap_rate_ema = np.insert(
             self.swap_rate_ema, slot - 1, self.swap_rate_ema[slot - 1]
         )
@@ -212,9 +231,10 @@ def deo_sweep(
             counters = counters.take(order)
             ensemble.labels, ensemble.counters = labels, counters
         accepts = np.array(accepted)
-        rate_view = ensemble.swap_rate_ema[parity : m - 1 : 2]
-        rate_view *= SWAP_RATE_EMA_DECAY
-        rate_view += (1.0 - SWAP_RATE_EMA_DECAY) * accepts
+        rates = ensemble.swap_rate_ema.tolist()
+        for i, swap in zip(lo, accepted):
+            rates[i] = rates[i] * SWAP_RATE_EMA_DECAY + (_SWAP_RATE_GAIN if swap else 0.0)
+        ensemble.swap_rate_ema[:] = rates
     else:
         accepts = np.zeros(0, dtype=bool)
     ensemble.visible, ensemble.hidden = visible, hidden
@@ -269,11 +289,9 @@ def update_flow_histograms(ensemble: Ensemble) -> None:
     both histograms decay.
     """
     rate = 1.0 / ensemble.tau_hat
-    ensemble.n_up *= 1.0 - rate
-    ensemble.n_down *= 1.0 - rate
-    # + 0.0 leaves a nonnegative entry as it is: the bits of a masked add
-    ensemble.n_up += rate * (ensemble.labels == _UP)
-    ensemble.n_down += rate * (ensemble.labels == _DOWN)
+    flow = ensemble.flow
+    flow *= 1.0 - rate
+    np.add(flow, rate, out=flow, where=ensemble.labels == _FLOW_LABELS)
 
 
 def f_up(ensemble: Ensemble) -> np.ndarray:
@@ -282,11 +300,4 @@ def f_up(ensemble: Ensemble) -> np.ndarray:
     Interior slots where neither label has been seen yet report the neutral
     value 0.5.
     """
-    if ensemble.num_chains == 1:
-        return np.array([1.0])
-    denom = ensemble.n_up + ensemble.n_down
-    safe = np.where(denom > 0.0, denom, 1.0)
-    frac = np.where(denom > 0.0, ensemble.n_up / safe, 0.5)
-    frac[0] = 1.0
-    frac[-1] = 0.0
-    return frac
+    return np.array(ensemble.up_fractions())

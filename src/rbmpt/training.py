@@ -175,12 +175,10 @@ def sml_update(
         step -= neg
         step *= lr
         theta += step
-    # one pass per array; a NaN fails the comparison and is rejected too
-    for theta in (params.weights, params.hidden_bias, params.visible_bias):
-        if not np.abs(theta).max() <= THETA_ABS_LIMIT:
-            raise DivergenceError(
-                "parameters diverged (non-finite or beyond magnitude limit)"
-            )
+    # one pass over every parameter; a NaN fails the comparison and is
+    # rejected too
+    if not np.abs(params.flat).max() <= THETA_ABS_LIMIT:
+        raise DivergenceError("parameters diverged (non-finite or beyond magnitude limit)")
 
 
 def train(
@@ -237,32 +235,38 @@ def train(
         )
 
     emit(0)
-    total_steps = config.num_updates + config.post_sampling_steps
+    num_updates = config.num_updates
+    total_steps = num_updates + config.post_sampling_steps
+    minibatch_size = config.minibatch_size
+    gibbs_steps = config.gibbs_steps_per_update
+    eval_interval = config.eval_interval
+    adaptation = config.adaptation
+    spawn_interval = adaptation.spawn_check_interval
     for update in range(1, total_steps + 1):
-        learning = update <= config.num_updates
+        learning = update <= num_updates
         if learning:
-            batch = sampler(rng, config.minibatch_size)
-        deo_sweep(ensemble, params, config.gibbs_steps_per_update, rng)
+            batch = sampler(rng, minibatch_size)
+        deo_sweep(ensemble, params, gibbs_steps, rng)
         m = ensemble.num_chains
-        work_units += config.gibbs_steps_per_update * m * 2 * weight_size
+        work_units += gibbs_steps * m * 2 * weight_size
         if m > 1:
             work_units += m * weight_size  # swap-phase energy evaluations
             update_flow_histograms(ensemble)
         if adaptive and ensemble.burn_in_remaining == 0:
-            adapt_betas(ensemble, config.adaptation)
-            if update % config.adaptation.spawn_check_interval == 0:
-                event = maybe_spawn(ensemble, config.adaptation, update_index=update)
+            adapt_betas(ensemble, adaptation)
+            if update % spawn_interval == 0:
+                event = maybe_spawn(ensemble, adaptation, update_index=update)
                 if event is not None:
                     spawn_events.append(event)
         if learning:
-            work_units += 3 * config.minibatch_size * weight_size
+            work_units += 3 * minibatch_size * weight_size
             try:
                 sml_update(params, batch, ensemble, config)
             except DivergenceError:
                 diverged_at = update
                 emit(update)
                 break
-        if update % config.eval_interval == 0 or update == total_steps:
+        if update % eval_interval == 0 or update == total_steps:
             emit(update)
 
     return TrainResult(
@@ -282,28 +286,3 @@ def write_metrics_csv(path, metrics: list[MetricsRecord]) -> None:
         writer.writerow(CSV_HEADER)
         for record in metrics:
             writer.writerow(record.to_csv_row())
-
-
-def read_metrics_csv(path) -> list[MetricsRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(
-                MetricsRecord(
-                    update_index=int(row["update_index"]),
-                    wall_clock_seconds=float(row["wall_clock_seconds"]),
-                    train_loglik=(
-                        None if row["train_loglik"] == "n/a" else float(row["train_loglik"])
-                    ),
-                    tau_hat=float(row["tau_hat"]),
-                    avg_swap_rate=float(row["avg_swap_rate"]),
-                    num_chains=int(row["num_chains"]),
-                    betas=[float(x) for x in row["betas"].split(";") if x],
-                    fup=[float(x) for x in row["fup"].split(";") if x],
-                    pair_swap_rates=[
-                        float(x) for x in row["pair_swap_rates"].split(";") if x
-                    ],
-                )
-            )
-    return records

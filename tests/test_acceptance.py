@@ -32,9 +32,10 @@ from rbmpt.experiment import (
     run_experiment,
 )
 from rbmpt.tempering import Ensemble
-from rbmpt.training import TrainConfig, read_metrics_csv, train
+from rbmpt.training import TrainConfig, train
 from rbmpt import dataset as ds
 
+from metrics_io import read_metrics_csv
 from oracles import (
     brute_data_moments,
     brute_joint_distribution,
@@ -83,8 +84,10 @@ def grid_dir(tmp_path_factory) -> Path:
     cache = os.environ.get("RBMPT_ACCEPTANCE_CACHE")
     out = Path(cache) if cache else tmp_path_factory.mktemp("comparison_grid")
     plan = comparison_plan(out, scale="ci", num_seeds=5, grid=True)
+    # one worker per CPU: TestParallelJobs shows the artifacts do not depend on it
+    jobs = os.cpu_count() or 1
     if not cache:
-        run_experiment(plan)
+        run_experiment(plan, jobs=jobs)
         return out
     fingerprint = campaign_fingerprint(plan)
     stamp = out / FINGERPRINT_NAME
@@ -92,7 +95,7 @@ def grid_dir(tmp_path_factory) -> Path:
         return out
     out.mkdir(parents=True, exist_ok=True)
     stamp.unlink(missing_ok=True)  # an interrupted rebuild must not pass as current
-    run_experiment(plan)
+    run_experiment(plan, jobs=jobs)
     stamp.write_text(fingerprint)
     return out
 

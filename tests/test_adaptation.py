@@ -9,7 +9,13 @@ from rbmpt import adaptation, rbm, tempering
 from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP, AdaptationConfig
 from rbmpt.tempering import Ensemble, Label
 
-from oracles import reference_adapt_betas, reference_optimal_betas, same_bits
+from oracles import (
+    random_params,
+    reference_adapt_betas,
+    reference_optimal_betas,
+    reference_update_flow_histograms,
+    same_bits,
+)
 
 
 def make_ensemble(betas, seed=0, nv=3, nh=2):
@@ -249,6 +255,35 @@ class TestMaybeSpawn:
         assert got is None
         assert ens.num_chains == 3
         assert "saturated" in caplog.text
+
+
+class TestSpawnedLadder:
+    def test_bookkeeping_matches_reference_after_spawns(self):
+        # spawns rebuild the flow buffer; n_up and n_down must stay its rows
+        # and the updates must keep the reference bits on the grown ladder
+        rng = np.random.default_rng(70)
+        params = random_params(rng, 4, 3)
+        ens = make_ensemble(np.linspace(1.0, 0.0, 3), seed=71, nv=4, nh=3)
+        config = AdaptationConfig(
+            beta_learning_rate=0.05, min_avg_swap_rate=0.9, burn_in_sweeps=5, max_chains=7
+        )
+        spawns = 0
+        for update in range(1, 401):
+            tempering.deo_sweep(ens, params, 1, rng)
+            want_up, want_down = reference_update_flow_histograms(
+                ens.n_up, ens.n_down, ens.labels, ens.tau_hat
+            )
+            tempering.update_flow_histograms(ens)
+            assert same_bits(ens.n_up, want_up) and same_bits(ens.n_down, want_down)
+            if ens.burn_in_remaining == 0:
+                want = reference_adapt_betas(ens.betas, tempering.f_up(ens), 0.05)
+                adaptation.adapt_betas(ens, config)
+                assert same_bits(ens.betas, want)
+                if update % 10 == 0:
+                    spawns += adaptation.maybe_spawn(ens, config, update) is not None
+                    assert ens.n_up.base is ens.flow and ens.n_down.base is ens.flow
+                    assert same_bits(np.stack([ens.n_up, ens.n_down]), ens.flow)
+        assert spawns >= 2 and ens.num_chains == 3 + spawns
 
 
 @st.composite

@@ -7,7 +7,9 @@ import pytest
 
 from rbmpt import cli, experiment
 from rbmpt.adaptation import AdaptationConfig
-from rbmpt.training import TrainConfig, read_metrics_csv
+from rbmpt.training import TrainConfig
+
+from metrics_io import read_metrics_csv
 
 
 def run_cli(argv):
@@ -370,6 +372,14 @@ BAD_SETTINGS = {
     "grid seed in file": lambda d: (
         ["grid", "--plan", write_plan(d / "p.json"),
          "--config", write_config(d / "c.cfg", "seed = 3\n"), "--out", str(d / "out")],
+        d / "out",
+    ),
+    "zero jobs": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json"), "--jobs", "0", "--out", str(d / "out")],
+        d / "out",
+    ),
+    "negative jobs": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json"), "--jobs", "-2", "--out", str(d / "out")],
         d / "out",
     ),
     "fractional plan count": lambda d: (

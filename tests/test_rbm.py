@@ -195,10 +195,13 @@ class TestGibbs:
         assert (size >= rbm._VECTOR_LOGISTIC_MIN) == vectorised
         x = np.resize(grid, size)
         beta_zero = np.resize(grid[np.isfinite(grid)], size) * 0.0
+        logistic = rbm._logistic_for(size)
+        assert (logistic is not expit) == vectorised
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = rbm._logistic_inplace(x.copy())
-            half = rbm._logistic_inplace(beta_zero)
+            got = x.copy()
+            logistic(got, out=got)
+            half = logistic(beta_zero, out=beta_zero)
         want = expit(x)
         assert np.all(np.abs(got - want) <= LOGISTIC_ULPS * np.spacing(want))
         assert np.all(half == 0.5)
@@ -379,6 +382,22 @@ class TestParamsPlumbing:
         assert q.weights == pytest.approx(p.weights, abs=0)
         assert q.hidden_bias == pytest.approx(p.hidden_bias, abs=0)
         assert q.visible_bias == pytest.approx(p.visible_bias, abs=0)
+
+    def test_arrays_are_views_of_one_buffer(self, tmp_path):
+        rng = np.random.default_rng(20)
+        w, hb, vb = rng.normal(size=(4, 6)), rng.normal(size=4), rng.normal(size=6)
+        direct = rbm.RbmParams(w, hb, vb)
+        rbm.save_params(direct, tmp_path / "model.rbm")
+        copied, loaded = direct.copy(), rbm.load_params(tmp_path / "model.rbm")
+        for p in (direct, copied, loaded):
+            assert same_bits(p.flat, np.concatenate([w.ravel(), hb, vb]))
+            # a write to the buffer shows through all three arrays
+            p.flat[:] = rng.normal(size=p.flat.size)
+            views = np.concatenate([p.weights.ravel(), p.hidden_bias, p.visible_bias])
+            assert same_bits(views, p.flat)
+        for a, b in ((direct, copied), (direct, loaded), (copied, loaded)):
+            assert not np.shares_memory(a.flat, b.flat)
+        assert not np.shares_memory(direct.flat, w)
 
     def test_init_params_scale(self):
         p = rbm.init_params(100, 10, np.random.default_rng(19))

@@ -6,6 +6,7 @@ from rbmpt import dataset, rbm, tempering, training
 from rbmpt.adaptation import AdaptationConfig
 from rbmpt.training import TrainConfig
 
+from metrics_io import read_metrics_csv
 from oracles import random_params, reference_sml_update, same_bits
 
 
@@ -81,12 +82,30 @@ class TestSmlUpdate:
         ids=["nan", "inf", "-inf", "2xlimit"],
     )
     def test_divergence_guard(self, field, value):
-        # each array is checked on its own, so a NaN anywhere is caught
         params, ens = self.make()
         getattr(params, field).flat[0] = value
         batch = np.ones((1, 5))
         with pytest.raises(training.DivergenceError):
             training.sml_update(params, batch, ens, small_config(learning_rate=1e-3))
+
+    @pytest.mark.parametrize("field", ["weights", "hidden_bias", "visible_bias"])
+    @pytest.mark.parametrize("value", [np.nan, 2e6], ids=["nan", "2e6"])
+    def test_divergence_guard_after_full_step(self, field, value):
+        # the guard reads the one parameter buffer, after the step has
+        # updated all of it
+        params, ens = self.make()
+        getattr(params, field).flat[-1] = value
+        batch = 1.0 - ens.visible[:1]  # differs from the negative particle everywhere
+        lr = 1e-3
+        finite = np.isfinite(value)
+        if finite:
+            want = reference_sml_update(params, batch, ens.visible[0], lr)
+        with pytest.raises(training.DivergenceError):
+            training.sml_update(params, batch, ens, small_config(learning_rate=lr))
+        if finite:
+            assert same_bits(params.flat, want.flat)
+        else:
+            assert np.isnan(getattr(params, field).flat[-1])
 
     def test_divergence_guard_allows_the_limit(self):
         params, ens = self.make()
@@ -200,7 +219,7 @@ class TestDeterminism:
         result = training.train(small_config(), toy_stream(), eval_data=eval_data)
         path = tmp_path / "metrics.csv"
         training.write_metrics_csv(path, result.metrics)
-        back = training.read_metrics_csv(path)
+        back = read_metrics_csv(path)
         assert [r.to_csv_row() for r in back] == [r.to_csv_row() for r in result.metrics]
         with open(path) as fh:
             assert fh.readline().strip() == ",".join(training.CSV_HEADER)
