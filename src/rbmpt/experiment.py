@@ -9,9 +9,12 @@ everything else. Replicates of a label differ only in the run seed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
+import multiprocessing
+import os
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -154,17 +157,19 @@ def load_plan(path) -> ExperimentPlan:
         return plan_from_dict(json.load(fh))
 
 
-def build_dataset(data: DatasetSettings) -> tuple[ds.MixtureSpec, np.ndarray]:
-    """Mixture spec and read-only evaluation snapshot (all runs of a plan share
-    it) derived from the dataset seed."""
+def build_dataset(data: DatasetSettings) -> tuple[ds.MixtureSpec, rbm.DistinctRows | None]:
+    """Mixture spec and evaluation snapshot derived from the dataset seed; all
+    runs of a plan share both. The snapshot is kept as its read-only distinct
+    rows with counts, which is all the exact likelihood reads of it."""
     spec = ds.default_spec(
         np.random.default_rng([data.data_seed, _PROTO_STREAM]), data.image_side
     )
     if data.eval_size > 0:
-        eval_data = ds.sample_batch(
-            spec, np.random.default_rng([data.data_seed, _EVAL_STREAM]), data.eval_size
+        eval_data = rbm.distinct_rows(
+            ds.sample_batch(
+                spec, np.random.default_rng([data.data_seed, _EVAL_STREAM]), data.eval_size
+            )
         )
-        eval_data.setflags(write=False)
     else:
         eval_data = None
     return spec, eval_data
@@ -222,6 +227,26 @@ def execute_run(label: str, config: TrainConfig, data: DatasetSettings, dataset,
         "sidecar": sidecar_path.name,
         "params": params_path.name,
     }
+
+
+# One BLAS thread per pool worker: with one worker per CPU, BLAS's default
+# of one thread per CPU in every worker oversubscribes the CPUs.
+_WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@contextlib.contextmanager
+def _environment(settings: dict[str, str]):
+    """Apply `settings` to os.environ, and restore the previous values on exit."""
+    saved = {key: os.environ.get(key) for key in settings}
+    os.environ.update(settings)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
 
 
 # (data settings, dataset, output directory) of a pool worker process
@@ -289,7 +314,12 @@ def summarize_label(label: str, sidecars: list[dict]) -> dict:
 
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
-    """Execute every run in the plan and write summaries plus the manifest."""
+    """Execute every run in the plan and write summaries plus the manifest.
+
+    With jobs > 1 the runs go to a pool of that many spawned worker
+    processes, each with one BLAS thread; a script that calls this must
+    guard its entry point with `if __name__ == "__main__":`.
+    """
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -301,8 +331,13 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
 
     # every run shares one dataset: built once here, or once per worker process
     if jobs > 1 and len(runs) > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(plan.data, out_dir)
+        # spawned workers are fresh interpreters, which read the BLAS thread
+        # settings when they import numpy
+        with _environment(_WORKER_BLAS_ENV), ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker,
+            initargs=(plan.data, out_dir),
         ) as pool:
             entries = list(pool.map(_worker, runs))
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -42,7 +43,7 @@ class IntractableModelError(ValueError):
     """Raised when exact evaluation would require enumerating too large a layer."""
 
 
-def _split_flat(flat: np.ndarray, nh: int, nv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_flat(flat: np.ndarray, nh: int, nv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Views of weights, hidden bias and visible bias in a flat parameter buffer."""
     k = nh * nv
     return flat[:k].reshape(nh, nv), flat[k : k + nh], flat[k + nh :]
@@ -74,7 +75,7 @@ class RbmParams:
                 f"inconsistent with weights {weights.shape}"
             )
         self.flat = np.concatenate([weights.ravel(), hidden_bias, visible_bias])
-        self.weights, self.hidden_bias, self.visible_bias = _split_flat(self.flat, nh, nv)
+        self.weights, self.hidden_bias, self.visible_bias = split_flat(self.flat, nh, nv)
         if not self.all_finite():
             raise ValueError("parameters contain non-finite entries")
 
@@ -196,6 +197,22 @@ def gibbs_sweep_chains(
     return visible, hidden
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) in place on `x`, as max(x, 0) + log1p(exp(-|x|)):
+    the formula np.logaddexp(0, x) evaluates, but with numpy's vectorised
+    exp and log1p rather than one scalar libm call per entry, so a result
+    may differ from logaddexp's by a few ulp. exp(-|x|) never overflows,
+    and +-inf give inf and 0 without a warning.
+    """
+    tail = np.abs(x)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.maximum(x, 0.0, out=x)
+    x += tail
+    return x
+
+
 def _bit_patterns(n: int, start: int, stop: int) -> np.ndarray:
     """Rows `start:stop` of the 2^n enumeration of n-bit vectors."""
     idx = np.arange(start, stop, dtype=np.int64)[:, None]
@@ -237,7 +254,7 @@ def exact_log_partition(
         if beta != 1.0:
             act *= beta
             terms *= beta
-        terms += np.logaddexp(0.0, act, out=act).sum(axis=1)
+        terms += _softplus(act).sum(axis=1)
         chunk_logs.append(logsumexp(terms))
     return float(logsumexp(np.array(chunk_logs)))
 
@@ -255,29 +272,97 @@ def free_energy(params: RbmParams, visible: np.ndarray, beta: float = 1.0) -> np
     if beta != 1.0:
         act *= beta
         visible_term = beta * visible_term
-    return -(visible_term + np.logaddexp(0.0, act, out=act).sum(axis=-1))
+    return -(visible_term + _softplus(act).sum(axis=-1))
 
 
-def exact_log_likelihood(
-    params: RbmParams, data: np.ndarray, layer_cap: int = EXACT_LAYER_CAP
-) -> float:
-    """Mean log p(v) over the rows of `data`, using the exact partition function."""
+@dataclass(frozen=True)
+class DistinctRows:
+    """A data set reduced to what its exact likelihood reads: the distinct
+    rows, (r, nv) float64; how often each occurs, (r,) float64 whole numbers
+    summing to `size`; and their count-weighted sum over rows, (nv,), which
+    is exact for binary rows because it adds integers. Build it with
+    `distinct_rows`; its arrays are read-only.
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray
+    visible_sum: np.ndarray
+    size: int
+
+
+def distinct_rows(data) -> DistinctRows:
+    """`data` (one vector or an (m, nv) batch of rows) as a DistinctRows;
+    a DistinctRows is returned as it is.
+
+    Rows are grouped by their exact contents: binary rows by their packed
+    bits, any other rows by their float64 bytes, so two rows merge only when
+    they are equal entry for entry.
+    """
+    if isinstance(data, DistinctRows):
+        return data
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    if data.ndim != 2 or data.shape[0] == 0:
+        raise ValueError(f"data must hold at least one row, got shape {data.shape}")
+    bits = data == 1.0
+    keys = np.packbits(bits, axis=1)
+    num_ones = np.count_nonzero(bits)
+    # the rows are binary when the ones are all the nonzero entries; if not,
+    # the rows' float64 bytes are the keys
+    if num_ones != np.count_nonzero(np.not_equal(data, 0.0, out=bits)):
+        keys = np.ascontiguousarray(data)
+    # one opaque record per row, so np.unique compares whole rows bytewise
+    keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    # rows in order of first occurrence: the gather reads `data` front to back
+    order = first.argsort()
+    rows = data[first[order]]
+    counts = counts[order].astype(np.float64)
+    visible_sum = counts @ rows
+    for array in (rows, counts, visible_sum):
+        array.setflags(write=False)
+    return DistinctRows(rows, counts, visible_sum, data.shape[0])
+
+
+def exact_log_likelihood(params: RbmParams, data, layer_cap: int = EXACT_LAYER_CAP) -> float:
+    """Mean log p(v) over the rows of `data`, using the exact partition function.
+
+    `data` is a DistinctRows or anything `distinct_rows` takes. With n_r
+    copies of the distinct row v_r among N rows, the mean is
+    [sum_r n_r sum_j softplus(b + W v_r)_j + (sum_r n_r v_r) . c] / N - log Z.
+    """
+    data = distinct_rows(data)
     log_z = exact_log_partition(params, 1.0, layer_cap=layer_cap)
-    return float(np.mean(-free_energy(params, data) - log_z))
+    # (nh, r) rather than (r, nh): the faster layout for BLAS, the same bits
+    act = params.weights @ data.rows.T
+    act += params.hidden_bias[:, None]
+    hidden_term = (_softplus(act) @ data.counts).sum()
+    return float((hidden_term + data.visible_sum @ params.visible_bias) / data.size - log_z)
+
+
+_HEADER = struct.Struct("<II")
 
 
 def save_params(params: RbmParams, path) -> None:
     """Flat binary snapshot: '<II' dims header (num_visible, num_hidden), then
     row-major weights, hidden_bias, visible_bias as little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", params.num_visible, params.num_hidden))
+        fh.write(_HEADER.pack(params.num_visible, params.num_hidden))
         fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_params(path) -> RbmParams:
-    with open(path, "rb") as fh:
-        nv, nh = struct.unpack("<II", fh.read(8))
-        flat = np.frombuffer(fh.read(8 * (nh * nv + nh + nv)), dtype="<f8")
+    """Read a `save_params` snapshot; a ValueError naming the path if the
+    file is not exactly as long as its header says."""
+    raw = Path(path).read_bytes()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: expected at least {_HEADER.size} bytes, got {len(raw)}")
+    nv, nh = _HEADER.unpack_from(raw)
+    expected = _HEADER.size + 8 * (nh * nv + nh + nv)
+    if len(raw) != expected:
+        raise ValueError(
+            f"{path}: expected {expected} bytes for {nv} visible and {nh} hidden units, "
+            f"got {len(raw)}"
+        )
+    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     # RbmParams copies the three views into a buffer of its own
-    return RbmParams(*_split_flat(flat, nh, nv))
+    return RbmParams(*split_flat(flat, nh, nv))

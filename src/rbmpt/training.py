@@ -161,20 +161,24 @@ def sml_update(
     h_pos = rbm.hidden_conditional(params, minibatch, 1.0)
     v_neg = sampler.visible[0]
     h_neg = rbm.hidden_conditional(params, v_neg, 1.0)
-    lr = config.learning_rate
-    n = minibatch.shape[0]
-    step = h_pos.T @ minibatch
-    step /= n
-    step -= h_neg[:, None] * v_neg
-    step *= lr
-    params.weights += step
+    nh, nv = params.weights.shape
+    # the positive and negative statistics in buffers laid out like
+    # params.flat, so each arithmetic step is one pass over all three parts;
     # add.reduce, then /= n, is what .mean(axis=0) computes: the same bits
-    for theta, pos, neg in ((params.hidden_bias, h_pos, h_neg), (params.visible_bias, minibatch, v_neg)):
-        step = np.add.reduce(pos, axis=0)
-        step /= n
-        step -= neg
-        step *= lr
-        theta += step
+    step = np.empty_like(params.flat)
+    step_w, step_h, step_v = rbm.split_flat(step, nh, nv)
+    np.matmul(h_pos.T, minibatch, out=step_w)
+    np.add.reduce(h_pos, axis=0, out=step_h)
+    np.add.reduce(minibatch, axis=0, out=step_v)
+    neg = np.empty_like(step)
+    neg_w, neg_h, neg_v = rbm.split_flat(neg, nh, nv)
+    np.multiply(h_neg[:, None], v_neg, out=neg_w)
+    neg_h[:] = h_neg
+    neg_v[:] = v_neg
+    step /= minibatch.shape[0]
+    step -= neg
+    step *= config.learning_rate
+    params.flat += step
     # one pass over every parameter; a NaN fails the comparison and is
     # rejected too
     if not np.abs(params.flat).max() <= THETA_ABS_LIMIT:
@@ -185,7 +189,7 @@ def train(
     config: TrainConfig,
     sampler,
     rng: np.random.Generator | None = None,
-    eval_data: np.ndarray | None = None,
+    eval_data: rbm.DistinctRows | np.ndarray | None = None,
 ) -> TrainResult:
     """Run `num_updates` gradient updates, then `post_sampling_steps` pure
     sampling sweeps (learning off, ladder adaptation still live).
@@ -194,12 +198,16 @@ def train(
     (n, num_visible) array, such as `dataset.BatchSampler`, whose
     `num_visible` attribute sizes the model. A metrics record is emitted at
     update 0, every `eval_interval` updates, and at the end; the likelihood
-    column is exact when one layer is enumerable and "n/a" otherwise. A
-    divergence aborts learning but still returns the metrics collected so far.
+    column is exact when one layer is enumerable and "n/a" otherwise; it
+    scores `eval_data`, rows or their `rbm.DistinctRows`, reduced once here.
+    A divergence aborts learning but still returns the metrics collected so
+    far.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     started = time.perf_counter()
+    if eval_data is not None:
+        eval_data = rbm.distinct_rows(eval_data)
 
     num_visible = sampler.num_visible
     params = rbm.init_params(num_visible, config.num_hidden, rng)

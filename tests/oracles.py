@@ -102,6 +102,23 @@ def brute_data_moments(params: RbmParams, v: np.ndarray):
     return np.outer(eh, v), eh, v.copy()
 
 
+def reference_exact_log_likelihood(params: RbmParams, data: np.ndarray) -> float:
+    """Mean log p(v) over every row of `data`, one row at a time: the free
+    energy -c.v - sum_i logaddexp(0, b_i + W_i v) of each row, and log Z
+    from the same logaddexp over the enumerated hidden layer, then np.mean."""
+    data = np.atleast_2d(data)
+    h_all = enumerate_bits(params.num_hidden)
+    log_z = logsumexp(
+        h_all @ params.hidden_bias
+        + np.logaddexp(0.0, h_all @ params.weights + params.visible_bias).sum(axis=1)
+    )
+    free = -(
+        data @ params.visible_bias
+        + np.logaddexp(0.0, data @ params.weights.T + params.hidden_bias).sum(axis=1)
+    )
+    return float(np.mean(-free - log_z))
+
+
 def random_params(rng: np.random.Generator, num_visible: int, num_hidden: int, scale: float = 1.0) -> RbmParams:
     return RbmParams(
         rng.uniform(-scale, scale, size=(num_hidden, num_visible)),

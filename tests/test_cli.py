@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -307,20 +308,56 @@ class TestSharedDataset:
         assert len(list(tmp_path.glob("*__seed*.csv"))) == 10
 
     def test_eval_snapshot_is_read_only(self):
+        # the snapshot is kept as its distinct rows with counts
         data = experiment.DatasetSettings(image_side=3, eval_size=10)
-        _, eval_data = experiment.build_dataset(data)
-        assert not eval_data.flags.writeable
+        _, eval_rows = experiment.build_dataset(data)
+        for array in (eval_rows.rows, eval_rows.counts, eval_rows.visible_sum):
+            assert not array.flags.writeable
+
+
+def record_worker_env(data, out_dir):
+    """Pool initializer: note the BLAS settings the worker started with,
+    then set it up as `run_experiment`'s own initializer does."""
+    settings = {key: os.environ.get(key) for key in experiment._WORKER_BLAS_ENV}
+    (out_dir / f"env-{os.getpid()}.json").write_text(json.dumps(settings))
+    experiment._init_worker(data, out_dir)
 
 
 class TestParallelJobs:
-    def test_worker_pool_matches_sequential(self, tmp_path):
+    def test_workers_start_with_one_blas_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "_init_worker", record_worker_env)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        assert experiment.run_experiment(tiny_comparison_plan(tmp_path), jobs=2) == 0
+        seen = [json.loads(path.read_text()) for path in tmp_path.glob("env-*.json")]
+        assert seen and all(env == experiment._WORKER_BLAS_ENV for env in seen)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+
+    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
         plan_seq = tiny_comparison_plan(tmp_path / "seq")
         plan_par = tiny_comparison_plan(tmp_path / "par")
         assert experiment.run_experiment(plan_seq, jobs=1) == 0
         assert experiment.run_experiment(plan_par, jobs=2) == 0
-        for csv_seq in (tmp_path / "seq").glob("*.csv"):
-            csv_par = tmp_path / "par" / csv_seq.name
-            assert csv_seq.read_bytes() == csv_par.read_bytes()
+        artifacts = sorted((tmp_path / "seq").glob("*__seed*.csv"))
+        artifacts += sorted((tmp_path / "seq").glob("*.rbm"))
+        assert len(artifacts) == 20
+        for seq in artifacts:
+            assert seq.read_bytes() == (tmp_path / "par" / seq.name).read_bytes()
+        # the workers' one-thread BLAS settings do not leak into this process
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+
+    def test_environment_is_restored(self, monkeypatch):
+        monkeypatch.setenv("RBMPT_TEST_SET", "before")
+        monkeypatch.delenv("RBMPT_TEST_UNSET", raising=False)
+        settings = {"RBMPT_TEST_SET": "1", "RBMPT_TEST_UNSET": "1"}
+        with pytest.raises(RuntimeError):
+            with experiment._environment(settings):
+                assert all(os.environ[key] == "1" for key in settings)
+                raise RuntimeError("a failing pool")
+        assert os.environ["RBMPT_TEST_SET"] == "before"
+        assert "RBMPT_TEST_UNSET" not in os.environ
 
 
 # Each case builds (argv, output directory) in a temporary directory. Every

@@ -1,10 +1,11 @@
+import collections
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from rbmpt import rbm
+from rbmpt import dataset, experiment, rbm
 
 from oracles import (
     brute_log_partition,
@@ -13,6 +14,7 @@ from oracles import (
     enumerate_bits,
     random_params,
     reference_energy,
+    reference_exact_log_likelihood,
     reference_gibbs_sweep,
     same_bits,
     state_index,
@@ -325,6 +327,98 @@ class TestExactLogLikelihood:
         )
 
 
+def eval_snapshot(image_side):
+    """The 10 000-row eval snapshot of dataset seed 0 at `image_side`, as
+    sampled and as `build_dataset` keeps it."""
+    data = experiment.DatasetSettings(image_side=image_side, eval_size=10_000)
+    spec, eval_rows = experiment.build_dataset(data)
+    rng = np.random.default_rng([data.data_seed, experiment._EVAL_STREAM])
+    return dataset.sample_batch(spec, rng, data.eval_size), eval_rows
+
+
+# (image side, hidden units, weight scale) of the ci and full presets
+SNAPSHOT_SHAPES = {"ci": (8, 5, 1.0), "full": (28, 10, 0.3)}
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("scale", SNAPSHOT_SHAPES)
+    def test_real_snapshot(self, scale):
+        raw, eval_rows = eval_snapshot(SNAPSHOT_SHAPES[scale][0])
+        assert isinstance(eval_rows, rbm.DistinctRows)
+        assert eval_rows.size == raw.shape[0] == eval_rows.counts.sum()
+        keys = [row.tobytes() for row in eval_rows.rows]
+        assert len(set(keys)) == len(keys)  # no row repeats
+        # every snapshot row is present, with its multiplicity
+        want = collections.Counter(row.tobytes() for row in raw)
+        assert dict(zip(keys, eval_rows.counts)) == want
+        assert same_bits(eval_rows.visible_sum, raw.sum(axis=0))
+
+    def test_arrays_are_read_only(self):
+        eval_rows = rbm.distinct_rows(np.eye(3))
+        for array in (eval_rows.rows, eval_rows.counts, eval_rows.visible_sum):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_distinct_rows_never_merge(self):
+        # [2, 0] and [1, 0.5] have the nonzero pattern of [1, 0] and [1, 1]
+        data = np.array([[1, 0], [2, 0], [1, 0.5], [1, 1], [1, 0], [2, 0], [1, 0]])
+        eval_rows = rbm.distinct_rows(data)
+        got = {tuple(row): n for row, n in zip(eval_rows.rows, eval_rows.counts)}
+        assert got == {(1, 0): 3, (2, 0): 2, (1, 0.5): 1, (1, 1): 1}
+        assert same_bits(eval_rows.visible_sum, np.array([9.0, 1.5]))
+
+    def test_vector_reduction_and_idempotence(self):
+        eval_rows = rbm.distinct_rows([1.0, 0.0, 1.0])
+        assert same_bits(eval_rows.rows, np.array([[1.0, 0.0, 1.0]]))
+        assert eval_rows.size == 1
+        assert rbm.distinct_rows(eval_rows) is eval_rows
+
+    def test_rejects_empty_data(self):
+        with pytest.raises(ValueError):
+            rbm.distinct_rows(np.zeros((0, 4)))
+
+
+class TestLikelihoodOnDistinctRows:
+    @pytest.mark.parametrize("scale", SNAPSHOT_SHAPES)
+    def test_matches_reference_on_real_snapshot(self, scale):
+        image_side, nh, weight_scale = SNAPSHOT_SHAPES[scale]
+        raw, eval_rows = eval_snapshot(image_side)
+        p = random_params(np.random.default_rng(21), image_side**2, nh, scale=weight_scale)
+        want = reference_exact_log_likelihood(p, raw)
+        assert rbm.exact_log_likelihood(p, eval_rows) == pytest.approx(want, rel=1e-12)
+        # an array is reduced to the same object first: one computation path
+        assert rbm.exact_log_likelihood(p, raw) == rbm.exact_log_likelihood(p, eval_rows)
+
+    def test_intractable_raised_before_product(self):
+        # rows of the wrong width would fail the product with a plain ValueError
+        p = rbm.RbmParams(np.zeros((30, 30)), np.zeros(30), np.zeros(30))
+        with pytest.raises(rbm.IntractableModelError):
+            rbm.exact_log_likelihood(p, np.zeros((2, 7)))
+
+
+class TestSoftplus:
+    def test_matches_logaddexp(self):
+        x = np.array([0.0, 1e-300, 36.0, 37.0, 709.0, 710.0, 800.0, np.inf])
+        x = np.concatenate([x, -x])
+        want = np.logaddexp(0.0, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rbm._softplus(x.copy())
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 4 * np.spacing(want[finite]))
+        assert same_bits(got[~finite], want[~finite])
+
+    def test_free_energy_and_partition_match_logaddexp(self):
+        rng = np.random.default_rng(22)
+        p = random_params(rng, 6, 4, scale=2.0)
+        v = enumerate_bits(6)
+        act = v @ p.weights.T + p.hidden_bias
+        want = -(v @ p.visible_bias + np.logaddexp(0.0, act).sum(axis=1))
+        assert rbm.free_energy(p, v) == pytest.approx(want, rel=1e-14)
+        assert rbm.exact_log_partition(p) == pytest.approx(brute_log_partition(p), rel=1e-12)
+
+
 class TestGradientCheck:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -382,6 +476,22 @@ class TestParamsPlumbing:
         assert q.weights == pytest.approx(p.weights, abs=0)
         assert q.hidden_bias == pytest.approx(p.hidden_bias, abs=0)
         assert q.visible_bias == pytest.approx(p.visible_bias, abs=0)
+
+    @pytest.mark.parametrize("cut", [-1, -8, -1000, 1, 8], ids=lambda c: f"{c:+d}")
+    def test_load_rejects_wrong_length(self, tmp_path, cut):
+        p = random_params(np.random.default_rng(23), 6, 4)
+        path = tmp_path / "model.rbm"
+        rbm.save_params(p, path)
+        raw = path.read_bytes()
+        expected = len(raw)
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        actual = path.stat().st_size
+        with pytest.raises(ValueError) as info:
+            rbm.load_params(path)
+        message = str(info.value)
+        assert str(path) in message and str(actual) in message
+        if actual >= 8:
+            assert str(expected) in message
 
     def test_arrays_are_views_of_one_buffer(self, tmp_path):
         rng = np.random.default_rng(20)

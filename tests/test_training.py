@@ -193,6 +193,13 @@ class TestTrainLoop:
         no_eval = training.train(small_config(), toy_stream())
         assert all(rec.train_loglik is None for rec in no_eval.metrics)
 
+    def test_likelihood_column_beyond_layer_cap(self):
+        # both layers above rbm.EXACT_LAYER_CAP: every row reads n/a
+        config = small_config(num_hidden=26, num_updates=3, eval_interval=3)
+        stream = toy_stream(width=26)
+        result = training.train(config, stream, eval_data=stream(np.random.default_rng(58), 8))
+        assert [rec.train_loglik for rec in result.metrics] == [None, None]
+
     def test_divergence_recorded_not_raised(self):
         result = training.train(
             small_config(algorithm="sml", learning_rate=1e7, num_updates=30),
