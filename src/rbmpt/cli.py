@@ -182,11 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def train_plan(args) -> ExperimentPlan:
     """A one-run plan built from the defaults, with the settings applied."""
-    run = PlannedRun("run", TrainConfig(), [])
-    plan = ExperimentPlan([run], output_dir=_default_outdir(args))
-    apply_settings(plan, _setting_values(args))
-    run.seeds = [run.config.seed]
-    return plan
+    values = _setting_values(args)
+    config = TrainConfig()
+    run = PlannedRun("run", config, [values.get("seed", config.seed)])
+    return apply_settings(ExperimentPlan([run], output_dir=_default_outdir(args)), values)
 
 
 def grid_plan(args) -> ExperimentPlan:

@@ -64,15 +64,19 @@ class PlannedRun:
 
 @dataclass
 class ExperimentPlan:
-    runs: list[PlannedRun] = field(default_factory=list)
+    runs: list[PlannedRun]
     data: DatasetSettings = field(default_factory=DatasetSettings)
     output_dir: str = "."
 
     def __post_init__(self):
+        if not self.runs:
+            raise ValueError("a plan needs at least one run")
         labels = [run.label for run in self.runs]
         if len(set(labels)) != len(labels):
             raise ValueError("run labels must be unique")
         for run in self.runs:
+            if not run.seeds:
+                raise ValueError(f"a run needs at least one replicate seed ({run.label})")
             if len(set(run.seeds)) != len(run.seeds):
                 raise ValueError(f"replicate seeds must be distinct ({run.label})")
             if any(seed < 0 for seed in run.seeds):
@@ -341,7 +345,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
         ) as pool:
             entries = list(pool.map(_worker, runs))
     else:
-        dataset = build_dataset(plan.data) if runs else None
+        dataset = build_dataset(plan.data)
         entries = [
             execute_run(label, config, plan.data, dataset, out_dir) for label, config in runs
         ]

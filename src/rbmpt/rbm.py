@@ -1,6 +1,6 @@
-"""Binary restricted Boltzmann machine: energy, tempered conditionals, Gibbs
-transitions, and exact partition/likelihood evaluation for models small
-enough to enumerate one layer.
+"""Binary restricted Boltzmann machine: energy, the hidden conditional,
+tempered Gibbs transitions, and exact partition/likelihood evaluation for
+models small enough to enumerate one layer.
 
 Units live in {0, 1}. The joint energy of a configuration (v, h) is
 
@@ -12,7 +12,6 @@ so beta = 1 is the target model and beta = 0 is uniform over all states.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,11 +31,6 @@ _ENUM_BLOCK = 4096
 # 1024 entries; at 39 200 (50 chains x 784 units) the vectorised form is
 # about 3x faster.
 _VECTOR_LOGISTIC_MIN = 1024
-
-
-# Row-wise dot product of two (m, n) arrays. np.vecdot (numpy >= 2.0) is one
-# gufunc call, several times cheaper than einsum's setup at chain-batch sizes.
-_row_dot = getattr(np, "vecdot", None) or functools.partial(np.einsum, "mv,mv->m")
 
 
 class IntractableModelError(ValueError):
@@ -76,7 +70,7 @@ class RbmParams:
             )
         self.flat = np.concatenate([weights.ravel(), hidden_bias, visible_bias])
         self.weights, self.hidden_bias, self.visible_bias = split_flat(self.flat, nh, nv)
-        if not self.all_finite():
+        if not np.isfinite(self.flat).all():
             raise ValueError("parameters contain non-finite entries")
 
     @property
@@ -86,12 +80,6 @@ class RbmParams:
     @property
     def num_visible(self) -> int:
         return self.weights.shape[1]
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
-    def copy(self) -> "RbmParams":
-        return RbmParams(self.weights, self.hidden_bias, self.visible_bias)
 
 
 def init_params(num_visible: int, num_hidden: int, rng: np.random.Generator) -> RbmParams:
@@ -105,27 +93,17 @@ def energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> np.n
     """Joint energies of a batch of states; visible (m, nv), hidden (m, nh)."""
     # one BLAS product, then a row-wise dot: a three-operand einsum would
     # run numpy's unblocked loop instead
-    interaction = _row_dot(hidden @ params.weights, visible)
+    interaction = np.vecdot(hidden @ params.weights, visible)
     return -(interaction + hidden @ params.hidden_bias + visible @ params.visible_bias)
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return beta
-
-
-def hidden_conditional(params: RbmParams, visible: np.ndarray, beta: float) -> np.ndarray:
-    """p_beta(h_i = 1 | v), componentwise logistic of beta * (b + W v).
+def hidden_conditional(params: RbmParams, visible: np.ndarray) -> np.ndarray:
+    """p(h_i = 1 | v) at beta = 1, componentwise logistic of b + W v.
 
     Accepts a single visible vector (nv,) or a batch (m, nv).
     """
-    # in place on the fresh product, skipping a factor of 1.0: the same bits
     act = visible @ params.weights.T
     act += params.hidden_bias
-    if beta != 1.0:
-        act *= _check_beta(beta)
     return expit(act, out=act)
 
 
@@ -219,20 +197,17 @@ def _bit_patterns(n: int, start: int, stop: int) -> np.ndarray:
     return ((idx >> np.arange(n)) & 1).astype(np.float64)
 
 
-def exact_log_partition(
-    params: RbmParams, beta: float = 1.0, layer_cap: int = EXACT_LAYER_CAP
-) -> float:
-    """log Z(beta) by summing out the smaller layer analytically.
+def exact_log_partition(params: RbmParams) -> float:
+    """log Z of the beta = 1 model by summing out the smaller layer analytically.
 
     Enumerates the smaller of the two layers and uses
-    Z(beta) = sum_h exp(beta b'h) prod_j (1 + exp(beta (c_j + (W'h)_j)))
+    Z = sum_h exp(b'h) prod_j (1 + exp(c_j + (W'h)_j))
     (or the visible-side mirror image), entirely in log space.
     """
-    beta = _check_beta(beta)
     nh, nv = params.num_hidden, params.num_visible
-    if min(nh, nv) > layer_cap:
+    if min(nh, nv) > EXACT_LAYER_CAP:
         raise IntractableModelError(
-            f"exact evaluation needs min(num_hidden, num_visible) <= {layer_cap}, "
+            f"exact evaluation needs min(num_hidden, num_visible) <= {EXACT_LAYER_CAP}, "
             f"got {nh} hidden / {nv} visible"
         )
     if nh <= nv:
@@ -247,41 +222,32 @@ def exact_log_partition(
     chunk_logs = []
     for start in range(0, total, _ENUM_BLOCK):
         states = _bit_patterns(n_enum, start, min(start + _ENUM_BLOCK, total))
-        # in place on the fresh products, skipping a factor of 1.0: the same bits
         act = states @ cross.T
         act += bias_other
         terms = states @ bias_enum
-        if beta != 1.0:
-            act *= beta
-            terms *= beta
         terms += _softplus(act).sum(axis=1)
         chunk_logs.append(logsumexp(terms))
     return float(logsumexp(np.array(chunk_logs)))
 
 
-def free_energy(params: RbmParams, visible: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """F_beta(v) = -log sum_h exp(-beta E(v, h)), hidden layer summed analytically.
+def free_energy(params: RbmParams, visible: np.ndarray) -> np.ndarray:
+    """F(v) = -log sum_h exp(-E(v, h)) at beta = 1, hidden layer summed
+    analytically.
 
     Accepts a single vector (nv,) or a batch (m, nv).
     """
-    beta = _check_beta(beta)
-    # in place on the fresh products, skipping a factor of 1.0: the same bits
     act = visible @ params.weights.T
     act += params.hidden_bias
-    visible_term = visible @ params.visible_bias
-    if beta != 1.0:
-        act *= beta
-        visible_term = beta * visible_term
-    return -(visible_term + _softplus(act).sum(axis=-1))
+    return -(visible @ params.visible_bias + _softplus(act).sum(axis=-1))
 
 
 @dataclass(frozen=True)
 class DistinctRows:
-    """A data set reduced to what its exact likelihood reads: the distinct
-    rows, (r, nv) float64; how often each occurs, (r,) float64 whole numbers
-    summing to `size`; and their count-weighted sum over rows, (nv,), which
-    is exact for binary rows because it adds integers. Build it with
-    `distinct_rows`; its arrays are read-only.
+    """A binary data set reduced to what its exact likelihood reads: the
+    distinct rows, (r, nv) float64; how often each occurs, (r,) float64 whole
+    numbers summing to `size`; and their count-weighted sum over rows, (nv,),
+    which is exact because it adds integers. Build it with `distinct_rows`;
+    its arrays are read-only.
     """
 
     rows: np.ndarray
@@ -290,28 +256,21 @@ class DistinctRows:
     size: int
 
 
-def distinct_rows(data) -> DistinctRows:
-    """`data` (one vector or an (m, nv) batch of rows) as a DistinctRows;
-    a DistinctRows is returned as it is.
-
-    Rows are grouped by their exact contents: binary rows by their packed
-    bits, any other rows by their float64 bytes, so two rows merge only when
-    they are equal entry for entry.
+def distinct_rows(data: np.ndarray) -> DistinctRows:
+    """An (m, nv) array of 0/1 rows, m >= 1, as a DistinctRows; a ValueError
+    for any other input. Rows are grouped by their packed bits.
     """
-    if isinstance(data, DistinctRows):
-        return data
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+    data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError(f"data must hold at least one row, got shape {data.shape}")
+        raise ValueError(f"data must be a matrix of at least one row, got shape {data.shape}")
     bits = data == 1.0
     keys = np.packbits(bits, axis=1)
     num_ones = np.count_nonzero(bits)
-    # the rows are binary when the ones are all the nonzero entries; if not,
-    # the rows' float64 bytes are the keys
+    # the rows are binary when the ones are all the nonzero entries
     if num_ones != np.count_nonzero(np.not_equal(data, 0.0, out=bits)):
-        keys = np.ascontiguousarray(data)
+        raise ValueError("data rows must hold only 0 and 1")
     # one opaque record per row, so np.unique compares whole rows bytewise
-    keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     # rows in order of first occurrence: the gather reads `data` front to back
     order = first.argsort()
@@ -323,15 +282,13 @@ def distinct_rows(data) -> DistinctRows:
     return DistinctRows(rows, counts, visible_sum, data.shape[0])
 
 
-def exact_log_likelihood(params: RbmParams, data, layer_cap: int = EXACT_LAYER_CAP) -> float:
+def exact_log_likelihood(params: RbmParams, data: DistinctRows) -> float:
     """Mean log p(v) over the rows of `data`, using the exact partition function.
 
-    `data` is a DistinctRows or anything `distinct_rows` takes. With n_r
-    copies of the distinct row v_r among N rows, the mean is
+    With n_r copies of the distinct row v_r among N rows, the mean is
     [sum_r n_r sum_j softplus(b + W v_r)_j + (sum_r n_r v_r) . c] / N - log Z.
     """
-    data = distinct_rows(data)
-    log_z = exact_log_partition(params, 1.0, layer_cap=layer_cap)
+    log_z = exact_log_partition(params)
     # (nh, r) rather than (r, nh): the faster layout for BLAS, the same bits
     act = params.weights @ data.rows.T
     act += params.hidden_bias[:, None]

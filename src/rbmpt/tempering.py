@@ -11,7 +11,6 @@ a down particle reaching beta = 1 completes one round trip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -41,29 +40,6 @@ _FLOW_LABELS = np.array([[_UP], [_DOWN]])
 # what an accepted swap adds to its pair's rate estimate
 _SWAP_RATE_GAIN = 1.0 - SWAP_RATE_EMA_DECAY
 
-# (parity, num_chains) -> indices of that parity's pair left ends
-_PAIR_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _pair_indices(parity: int, num_chains: int) -> np.ndarray:
-    key = (parity, num_chains)
-    cached = _PAIR_CACHE.get(key)
-    if cached is None:
-        cached = np.arange(parity, num_chains - 1, 2)
-        cached.setflags(write=False)
-        _PAIR_CACHE[key] = cached
-    return cached
-
-
-@dataclass
-class SweepReport:
-    """Outcome of one DEO sweep: proposed pairs, accepts, completed trips."""
-
-    pair_indices: np.ndarray
-    accepts: np.ndarray
-    round_trips: list[int]
-    tau_hat: float
-
 
 def linear_ladder(num_chains: int) -> np.ndarray:
     """Betas equally spaced on [1, 0]."""
@@ -72,13 +48,13 @@ def linear_ladder(num_chains: int) -> np.ndarray:
     return np.linspace(1.0, 0.0, num_chains)
 
 
-def geometric_ladder(num_chains: int, beta_floor: float = 0.01) -> np.ndarray:
-    """Betas geometric in temperature from 1 down to `beta_floor`, then 0."""
+def geometric_ladder(num_chains: int) -> np.ndarray:
+    """Betas geometric in temperature from 1 down to 0.01, then 0."""
     if num_chains == 1:
         return np.array([1.0])
     if num_chains == 2:
         return np.array([1.0, 0.0])
-    body = np.geomspace(1.0, beta_floor, num_chains - 1)
+    body = np.geomspace(1.0, 0.01, num_chains - 1)
     return np.concatenate([body, [0.0]])
 
 
@@ -190,16 +166,17 @@ def deo_sweep(
     params: rbm.RbmParams,
     gibbs_steps: int,
     rng: np.random.Generator,
-) -> SweepReport:
+) -> None:
     """One DEO sweep: Gibbs-advance every chain at its own beta, then propose
     swaps on all adjacent pairs of the current parity, then flip the parity.
 
     Accepted swaps exchange particles (state, label, counter) between slots.
-    Each proposed pair consumes exactly one uniform draw. Afterwards every
-    counter advances by one sweep, boundary labels are refreshed (slot 0
-    mints "up" particles, the last slot turns "up" into "down"), completed
-    round trips fold into the return-time estimate, and any post-spawn
-    burn-in countdown ticks down.
+    Each proposed pair consumes exactly one uniform draw and updates its
+    swap-rate estimate. Afterwards every counter advances by one sweep,
+    boundary labels are refreshed (slot 0 mints "up" particles, the last
+    slot turns "up" into "down"), a completed round trip resets its
+    particle's counter and folds into the return-time estimate, and any
+    post-spawn burn-in countdown ticks down.
     """
     m = ensemble.betas.shape[0]
     parity = ensemble.sweep_parity
@@ -208,15 +185,13 @@ def deo_sweep(
     )
     labels, counters = ensemble.labels, ensemble.counters
 
-    pair_indices = _pair_indices(parity, m)
-    n_pairs = pair_indices.shape[0]
-    if n_pairs:
+    lo = range(parity, m - 1, 2)
+    if lo:
         e = rbm.energies(params, visible, hidden).tolist()
         b = ensemble.betas.tolist()
-        lo = range(parity, m - 1, 2)
         accepted = [
             u < swap_ratio(e[i], e[i + 1], b[i], b[i + 1])
-            for i, u in zip(lo, rng.random(n_pairs).tolist())
+            for i, u in zip(lo, rng.random(len(lo)).tolist())
         ]
         if any(accepted):
             # an accepted pair trades rows: one gather per particle array
@@ -230,23 +205,18 @@ def deo_sweep(
             labels = labels.take(order)
             counters = counters.take(order)
             ensemble.labels, ensemble.counters = labels, counters
-        accepts = np.array(accepted)
         rates = ensemble.swap_rate_ema.tolist()
         for i, swap in zip(lo, accepted):
             rates[i] = rates[i] * SWAP_RATE_EMA_DECAY + (_SWAP_RATE_GAIN if swap else 0.0)
         ensemble.swap_rate_ema[:] = rates
-    else:
-        accepts = np.zeros(0, dtype=bool)
     ensemble.visible, ensemble.hidden = visible, hidden
     ensemble.sweep_parity = parity ^ 1
 
-    round_trips: list[int] = []
     if m >= 2:
         counters += 1
         first = labels[0]
         if first == _DOWN:
             trip = int(counters[0])
-            round_trips.append(trip)
             counters[0] = 0
             labels[0] = _UP
             if ensemble.round_trip_ema is None:
@@ -264,7 +234,6 @@ def deo_sweep(
     estimate_return_time(ensemble)
     if ensemble.burn_in_remaining > 0:
         ensemble.burn_in_remaining -= 1
-    return SweepReport(pair_indices, accepts, round_trips, ensemble.tau_hat)
 
 
 def estimate_return_time(ensemble: Ensemble) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +128,6 @@ class TrainResult:
     metrics: list[MetricsRecord]
     spawn_events: list[SpawnEvent]
     diverged_at: int | None
-    measured_seconds: float
 
 
 def initial_ensemble(config: TrainConfig, num_visible: int, rng: np.random.Generator) -> Ensemble:
@@ -148,19 +146,18 @@ def sml_update(
     minibatch: np.ndarray,
     sampler: Ensemble,
     config: TrainConfig,
-    rng: np.random.Generator | None = None,
 ) -> None:
     """One gradient ascent step on the likelihood.
 
     Positive statistics average phi(v, h~) over the minibatch with mean-field
     hidden units; negative statistics are phi(v-, h~-) read off the sampler's
     beta = 1 particle as it currently stands. Deterministic given that
-    particle (`rng` is unused; the signature matches the sampler-driven ops).
-    `minibatch` must be a float64 (m, num_visible) array, as `train` passes it.
+    particle. `minibatch` must be a float64 (m, num_visible) array, as
+    `train` passes it.
     """
-    h_pos = rbm.hidden_conditional(params, minibatch, 1.0)
+    h_pos = rbm.hidden_conditional(params, minibatch)
     v_neg = sampler.visible[0]
-    h_neg = rbm.hidden_conditional(params, v_neg, 1.0)
+    h_neg = rbm.hidden_conditional(params, v_neg)
     nh, nv = params.weights.shape
     # the positive and negative statistics in buffers laid out like
     # params.flat, so each arithmetic step is one pass over all three parts;
@@ -188,27 +185,21 @@ def sml_update(
 def train(
     config: TrainConfig,
     sampler,
-    rng: np.random.Generator | None = None,
-    eval_data: rbm.DistinctRows | np.ndarray | None = None,
+    eval_data: rbm.DistinctRows | None = None,
 ) -> TrainResult:
     """Run `num_updates` gradient updates, then `post_sampling_steps` pure
-    sampling sweeps (learning off, ladder adaptation still live).
+    sampling sweeps (learning off, ladder adaptation still live), drawing
+    every random number from one generator seeded with `config.seed`.
 
     `sampler` draws the minibatches: a callable (rng, n) -> float64
     (n, num_visible) array, such as `dataset.BatchSampler`, whose
     `num_visible` attribute sizes the model. A metrics record is emitted at
     update 0, every `eval_interval` updates, and at the end; the likelihood
-    column is exact when one layer is enumerable and "n/a" otherwise; it
-    scores `eval_data`, rows or their `rbm.DistinctRows`, reduced once here.
-    A divergence aborts learning but still returns the metrics collected so
-    far.
+    column is the exact mean log-likelihood of `eval_data`, or "n/a" when
+    there is none or no layer is enumerable. A divergence aborts learning
+    but still returns the metrics collected so far.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    started = time.perf_counter()
-    if eval_data is not None:
-        eval_data = rbm.distinct_rows(eval_data)
-
+    rng = np.random.default_rng(config.seed)
     num_visible = sampler.num_visible
     params = rbm.init_params(num_visible, config.num_hidden, rng)
     ensemble = initial_ensemble(config, num_visible, rng)
@@ -283,7 +274,6 @@ def train(
         metrics=metrics,
         spawn_events=spawn_events,
         diverged_at=diverged_at,
-        measured_seconds=time.perf_counter() - started,
     )
 
 

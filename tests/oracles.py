@@ -17,7 +17,7 @@ from scipy.special import expit, logsumexp
 
 from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP
 from rbmpt.rbm import RbmParams
-from rbmpt.tempering import Label
+from rbmpt.tempering import SWAP_RATE_EMA_DECAY, Label, deo_sweep
 
 
 def enumerate_bits(n: int) -> np.ndarray:
@@ -211,6 +211,32 @@ def reference_adapt_betas(betas: np.ndarray, fup: np.ndarray, mu: float) -> np.n
     for i in range(m - 2, 0, -1):
         betas[i] = max(betas[i], betas[i + 1] + MIN_BETA_GAP)
     return betas
+
+
+def deo_sweep_outcome(ensemble, params: RbmParams, gibbs_steps: int, rng):
+    """Run one `deo_sweep` and read what it did off the ensemble: the left
+    ends of the pairs it proposed, whether each was accepted, and the length
+    of the round trip it completed, or None.
+
+    The pairs are those of the parity before the sweep. A pair was accepted
+    exactly when its swap-rate estimate is not the old one times the decay,
+    which on Python floats is exact. A trip completed exactly when slot 0's
+    counter reads 0 after the sweep; its length is the arriving particle's
+    counter before the sweep, plus one.
+    """
+    m = ensemble.num_chains
+    pairs = list(range(ensemble.sweep_parity, m - 1, 2))
+    rates = ensemble.swap_rate_ema.tolist()
+    counters = ensemble.counters.tolist()
+    deo_sweep(ensemble, params, gibbs_steps, rng)
+    after = ensemble.swap_rate_ema.tolist()
+    accepts = [after[i] != rates[i] * SWAP_RATE_EMA_DECAY for i in pairs]
+    trip = None
+    if m >= 2 and ensemble.counters[0] == 0:
+        # the particle now in slot 0 came from slot 1 if pair 0 swapped
+        arriving = 1 if pairs[:1] == [0] and accepts[0] else 0
+        trip = counters[arriving] + 1
+    return pairs, accepts, trip
 
 
 def reference_update_flow_histograms(n_up, n_down, labels, tau_hat: float):

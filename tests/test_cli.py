@@ -52,14 +52,14 @@ def exit_code(argv):
         return exc.code
 
 
-def write_plan(path, dataset=None, config=None):
+def write_plan(path, dataset=None, config=None, seeds=(0,)):
     """A one-run plan file: sml, 6 updates, 5 hidden units, 3x3 images."""
     record = {
         "dataset": {"image_side": 3, "eval_size": 10, **(dataset or {})},
         "runs": [
             {
                 "label": "planned",
-                "seeds": [0],
+                "seeds": list(seeds),
                 "config": {
                     "algorithm": "sml",
                     "num_updates": 6,
@@ -134,14 +134,6 @@ class TestTrainCommand:
 
 
 class TestGridCommand:
-    def test_empty_plan(self, tmp_path):
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({"dataset": {"image_side": 3}, "runs": []}))
-        out = tmp_path / "out"
-        assert run_cli(["grid", "--plan", str(plan_path), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["runs"] == []
-
     def test_comparison_preset_file_counts(self, tmp_path):
         out = tmp_path / "grid"
         code = run_cli(
@@ -202,6 +194,10 @@ class TestGridCommand:
             experiment.ExperimentPlan(
                 runs=[experiment.PlannedRun("run", config, [3, 3])]
             )
+        with pytest.raises(ValueError):
+            experiment.ExperimentPlan(runs=[experiment.PlannedRun("run", config, [])])
+        with pytest.raises(ValueError):
+            experiment.ExperimentPlan(runs=[])
 
 
 class TestSummarize:
@@ -264,9 +260,12 @@ class TestExitCodes:
         assert run_cli(tiny_train_args(tmp_path)) == cli.RUNTIME_ERROR
 
     def test_console_entry_point(self, tmp_path):
+        # the child imports the package copy this test imported
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "rbmpt.cli", *tiny_train_args(tmp_path)],
             capture_output=True,
+            env={**os.environ, "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0
         assert (tmp_path / "run__seed3.csv").exists()
@@ -417,6 +416,25 @@ BAD_SETTINGS = {
     ),
     "negative jobs": lambda d: (
         ["grid", "--plan", write_plan(d / "p.json"), "--jobs", "-2", "--out", str(d / "out")],
+        d / "out",
+    ),
+    "no preset seeds": lambda d: (
+        ["grid", "--preset", "comparison", "--scale", "ci", "--num-seeds", "0",
+         "--out", str(d / "out")],
+        d / "out",
+    ),
+    "negative preset seeds": lambda d: (
+        ["grid", "--preset", "comparison", "--scale", "ci", "--num-seeds", "-2",
+         "--out", str(d / "out")],
+        d / "out",
+    ),
+    "plan run without seeds": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", seeds=[]), "--out", str(d / "out")],
+        d / "out",
+    ),
+    "plan without runs": lambda d: (
+        ["grid", "--plan", write_config(d / "p.json", json.dumps({"runs": []})),
+         "--out", str(d / "out")],
         d / "out",
     ),
     "fractional plan count": lambda d: (

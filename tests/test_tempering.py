@@ -9,6 +9,7 @@ from rbmpt.tempering import Ensemble, Label
 from oracles import (
     brute_joint_distribution,
     brute_visible_marginal,
+    deo_sweep_outcome,
     enumerate_bits,
     random_params,
     reference_energy,
@@ -123,23 +124,23 @@ class TestEnsembleInvariants:
 class TestDeoSweep:
     def test_single_chain_degenerates_to_gibbs(self):
         ens = make_ensemble([1.0])
-        report = tempering.deo_sweep(ens, zero_params(), 1, np.random.default_rng(1))
-        assert report.pair_indices.size == 0
-        assert report.round_trips == []
+        pairs, _, trip = deo_sweep_outcome(ens, zero_params(), 1, np.random.default_rng(1))
+        assert pairs == []
+        assert trip is None
         assert ens.tau_hat == 1.0
 
     def test_equal_energies_accept_everything(self):
         ens = make_ensemble([1.0, 0.6, 0.3, 0.0])
         for _ in range(10):
-            report = tempering.deo_sweep(ens, zero_params(), 1, np.random.default_rng(2))
-            assert report.accepts.all()
+            _, accepts, _ = deo_sweep_outcome(ens, zero_params(), 1, np.random.default_rng(2))
+            assert accepts and all(accepts)
 
     def test_pair_schedule_alternates(self):
         ens = make_ensemble([1.0, 0.75, 0.5, 0.25, 0.0])
         rng = np.random.default_rng(3)
         seen = []
         for _ in range(4):
-            seen.append(tuple(tempering.deo_sweep(ens, zero_params(), 1, rng).pair_indices))
+            seen.append(tuple(deo_sweep_outcome(ens, zero_params(), 1, rng)[0]))
         assert seen == [(0, 2), (1, 3), (0, 2), (1, 3)]
 
     def test_betas_never_move(self):
@@ -180,8 +181,8 @@ class TestDeoSweep:
             )
             expect_accepts = replay.random(2) < expect_prob
 
-            report = tempering.deo_sweep(ens, params, steps, np.random.default_rng(seed))
-            assert (report.accepts == expect_accepts).all()
+            _, accepts, _ = deo_sweep_outcome(ens, params, steps, np.random.default_rng(seed))
+            assert accepts == expect_accepts.tolist()
 
     def test_decisions_go_through_swap_ratio(self, monkeypatch):
         # every proposed pair is decided by swap_ratio, the function the
@@ -194,9 +195,9 @@ class TestDeoSweep:
 
         monkeypatch.setattr(tempering, "swap_ratio", refuse)
         ens = make_ensemble([1.0, 0.6, 0.3, 0.0])
-        report = tempering.deo_sweep(ens, zero_params(), 1, np.random.default_rng(2))
+        _, accepts, _ = deo_sweep_outcome(ens, zero_params(), 1, np.random.default_rng(2))
         assert calls == [(1.0, 0.6), (0.3, 0.0)]
-        assert not report.accepts.any()
+        assert accepts == [False, False]
 
     def test_two_chain_acceptance_matches_product_expectation(self):
         # long-run accept frequency vs E[min(1, r)] under p_1 x p_0
@@ -214,9 +215,9 @@ class TestDeoSweep:
         accepted = 0
         proposed = 0
         for _ in range(1_000_000):
-            report = tempering.deo_sweep(ens, params, 1, rng)
-            proposed += report.pair_indices.size
-            accepted += int(report.accepts.sum())
+            _, accepts, _ = deo_sweep_outcome(ens, params, 1, rng)
+            proposed += len(accepts)
+            accepted += sum(accepts)
         assert proposed == 500_000
         assert abs(accepted / proposed - expected) < 0.01
 
@@ -288,16 +289,21 @@ class TestDeoSweepProperties:
 
 
 class TestLabelsAndReturnTime:
-    def test_two_chain_uniform_round_trips(self):
-        # always-accepted swaps shuttle deterministically: first trips take 5
-        # and 7 sweeps, steady state is the 4-sweep down-and-back
-        ens = make_ensemble([1.0, 0.0])
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_uniform_round_trips(self, m):
+        # always-accepted swaps shuttle deterministically: the first m trips
+        # take 2m+1, 2m+3, ..., 4m-1 sweeps, and from then on every trip is
+        # the 2m-sweep steady state of this DEO convention
+        ens = make_ensemble(np.linspace(1.0, 0.0, m))
         rng = np.random.default_rng(15)
         trips = []
-        for _ in range(60):
-            trips.extend(tempering.deo_sweep(ens, zero_params(), 1, rng).round_trips)
-        assert trips[:2] == [5, 7]
-        assert set(trips[2:]) == {4}
+        for _ in range(30 * m):
+            trip = deo_sweep_outcome(ens, zero_params(), 1, rng)[2]
+            if trip is not None:
+                trips.append(trip)
+        assert trips[:m] == list(range(2 * m + 1, 4 * m, 2))
+        assert len(trips) > m + 3
+        assert set(trips[m:]) == {2 * m}
 
     def test_first_sweep_labels(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
@@ -311,8 +317,7 @@ class TestLabelsAndReturnTime:
         for _ in range(4):
             tempering.deo_sweep(ens, zero_params(), 1, rng)
         # sweep 5 completes the first trip and resets the arriving counter
-        report = tempering.deo_sweep(ens, zero_params(), 1, rng)
-        assert report.round_trips == [5]
+        assert deo_sweep_outcome(ens, zero_params(), 1, rng)[2] == 5
         assert ens.counters[0] == 0
         assert ens.counters[1] > 0
 

@@ -34,6 +34,10 @@ def small_config(**kwargs):
     return TrainConfig(**base)
 
 
+def copy_params(params):
+    return rbm.RbmParams(params.weights, params.hidden_bias, params.visible_bias)
+
+
 class TestSmlUpdate:
     def make(self, seed=51):
         rng = np.random.default_rng(seed)
@@ -44,7 +48,7 @@ class TestSmlUpdate:
     def test_matching_stats_cancel(self):
         params, ens = self.make()
         batch = ens.visible[:1].copy()  # positive phase sees the negative state
-        before = params.copy()
+        before = copy_params(params)
         training.sml_update(params, batch, ens, small_config())
         assert params.weights == pytest.approx(before.weights, abs=0)
         assert params.hidden_bias == pytest.approx(before.hidden_bias, abs=0)
@@ -53,14 +57,14 @@ class TestSmlUpdate:
     def test_zero_learning_rate(self):
         params, ens = self.make()
         batch = (np.random.default_rng(52).random((4, 5)) < 0.5).astype(float)
-        before = params.copy()
+        before = copy_params(params)
         training.sml_update(params, batch, ens, small_config(learning_rate=0.0))
         assert params.weights == pytest.approx(before.weights, abs=0)
 
     def test_direction_matches_hand_computed_stats(self):
         # frozen negative particle: the step is lr * (phi(v, h~) - phi(v-, h~-))
         params, ens = self.make()
-        before = params.copy()
+        before = copy_params(params)
         v = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         lr = 0.05
         training.sml_update(params, v[None, :], ens, small_config(learning_rate=lr))
@@ -181,13 +185,13 @@ class TestTrainLoop:
 
     def test_post_sampling_freezes_params(self):
         config = small_config(num_updates=20, post_sampling_steps=20, eval_interval=20)
-        eval_data = toy_stream()(np.random.default_rng(53), 64)
+        eval_data = rbm.distinct_rows(toy_stream()(np.random.default_rng(53), 64))
         result = training.train(config, toy_stream(), eval_data=eval_data)
         by_index = {rec.update_index: rec for rec in result.metrics}
         assert by_index[20].train_loglik == by_index[40].train_loglik
 
     def test_likelihood_column(self):
-        eval_data = toy_stream()(np.random.default_rng(54), 32)
+        eval_data = rbm.distinct_rows(toy_stream()(np.random.default_rng(54), 32))
         result = training.train(small_config(), toy_stream(), eval_data=eval_data)
         assert all(np.isfinite(rec.train_loglik) for rec in result.metrics)
         no_eval = training.train(small_config(), toy_stream())
@@ -197,7 +201,8 @@ class TestTrainLoop:
         # both layers above rbm.EXACT_LAYER_CAP: every row reads n/a
         config = small_config(num_hidden=26, num_updates=3, eval_interval=3)
         stream = toy_stream(width=26)
-        result = training.train(config, stream, eval_data=stream(np.random.default_rng(58), 8))
+        eval_data = rbm.distinct_rows(stream(np.random.default_rng(58), 8))
+        result = training.train(config, stream, eval_data=eval_data)
         assert [rec.train_loglik for rec in result.metrics] == [None, None]
 
     def test_divergence_recorded_not_raised(self):
@@ -211,7 +216,7 @@ class TestTrainLoop:
 
 class TestDeterminism:
     def test_metrics_csv_is_byte_identical(self, tmp_path):
-        eval_data = toy_stream()(np.random.default_rng(56), 32)
+        eval_data = rbm.distinct_rows(toy_stream()(np.random.default_rng(56), 32))
         config = small_config(algorithm="sml-apt")
         paths = []
         for name in ("a.csv", "b.csv"):
@@ -222,7 +227,7 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_csv_roundtrip(self, tmp_path):
-        eval_data = toy_stream()(np.random.default_rng(57), 16)
+        eval_data = rbm.distinct_rows(toy_stream()(np.random.default_rng(57), 16))
         result = training.train(small_config(), toy_stream(), eval_data=eval_data)
         path = tmp_path / "metrics.csv"
         training.write_metrics_csv(path, result.metrics)
