@@ -19,6 +19,7 @@ from .rbm import (
 )
 from .tempering import (
     Ensemble,
+    EnsembleStack,
     Label,
     deo_sweep,
     estimate_return_time,
@@ -26,6 +27,14 @@ from .tempering import (
     swap_ratio,
     update_flow_histograms,
 )
-from .training import DivergenceError, MetricsRecord, TrainConfig, TrainResult, sml_update, train
+from .training import (
+    DivergenceError,
+    MetricsRecord,
+    TrainConfig,
+    TrainResult,
+    sml_update,
+    train,
+    train_lockstep,
+)
 
 __version__ = "0.1.0"

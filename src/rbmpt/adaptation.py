@@ -82,9 +82,11 @@ def _interior_targets(betas, f: list[float]) -> np.ndarray:
     m = len(f)
     f[0] = 1.0
     f[-1] = 0.0
+    # `y if y < x else x` is min(x, y) without a builtin call per slot
     prev = 1.0
     for i in range(1, m):
-        prev = f[i] = min(f[i], prev - _STRICT_EPS)
+        x, y = f[i], prev - _STRICT_EPS
+        prev = f[i] = y if y < x else x
     return np.interp(_interior_levels(m), f[::-1], betas[::-1])
 
 
@@ -121,15 +123,18 @@ def adapt_betas(ensemble: Ensemble, config: AdaptationConfig) -> None:
     t = _interior_targets(betas, ensemble.up_fractions()).tolist()
     mu = config.beta_learning_rate
     # one pass on Python floats does the step and the forward projection in
-    # the same order as a vectorised step followed by the loop
+    # the same order as a vectorised step followed by the loop; the
+    # conditional expressions are min and max without a builtin call
     b = betas.tolist()
     prev = b[0]
     for i in range(1, m - 1):
         bi = b[i]
-        prev = b[i] = min(bi + mu * (t[i - 1] - bi), prev - MIN_BETA_GAP)
+        x, y = bi + mu * (t[i - 1] - bi), prev - MIN_BETA_GAP
+        prev = b[i] = y if y < x else x
     prev = b[-1]
     for i in range(m - 2, 0, -1):
-        prev = b[i] = max(b[i], prev + MIN_BETA_GAP)
+        x, y = b[i], prev + MIN_BETA_GAP
+        prev = b[i] = y if y > x else x
     betas[1:-1] = b[1:-1]
 
 

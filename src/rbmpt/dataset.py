@@ -14,10 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
+from .rbm import stacked_random
+
 # Benchmark mixture constants: component weights and per-pixel flip
 # probabilities of the five-mode mixture.
 MIXTURE_WEIGHTS = (0.3314, 0.2262, 0.0812, 0.0254, 0.3358)
 MIXTURE_FLIP_PROBS = (0.0001, 0.0137, 0.0215, 0.0223, 0.0544)
+
+# Rows per block when `sample_bits` draws a large sample.
+_BITS_BLOCK = 1024
 
 
 @dataclass
@@ -77,23 +82,40 @@ def default_spec(rng: np.random.Generator, image_side: int = 28) -> MixtureSpec:
     return MixtureSpec(prototypes, weights, np.array(MIXTURE_FLIP_PROBS), image_side)
 
 
-def sample_batch(spec: MixtureSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, d) batch of independent draws.
+def sample_batch(spec: MixtureSpec, rng, n: int) -> np.ndarray:
+    """(n, d) batch of independent draws; from a list of R generators, an
+    (R, n, d) stack whose slice r is the batch generator r alone gives.
 
     Components are drawn by inverting `spec.cdf`, which is what
     `rng.choice(num_components, size=n, p=weights)` does after its argument
     checks, so the random stream is the same.
     """
-    comps = spec.cdf.searchsorted(rng.random(n), side="right")
-    flips = rng.random((n, spec.num_pixels))
+    random = rng.random if type(rng) is not list else stacked_random(rng)
+    comps = spec.cdf.searchsorted(random((n,)), side="right")
+    flips = random((n, spec.num_pixels))
     np.less(flips, spec.flip_probs[comps, None], out=flips)
     # binary prototype xor binary flip, exactly |prototype - flip|
     return np.not_equal(spec.prototypes[comps], flips, out=flips)
 
 
+def sample_bits(spec: MixtureSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The rows `sample_batch(spec, rng, n)` draws, as an (n, d) boolean
+    array: the flips are drawn `_BITS_BLOCK` rows at a time, the same doubles
+    in the same order, so no (n, d) float array is ever held."""
+    comps = spec.cdf.searchsorted(rng.random(n), side="right")
+    bits = np.empty((n, spec.num_pixels), dtype=bool)
+    for start in range(0, n, _BITS_BLOCK):
+        stop = min(start + _BITS_BLOCK, n)
+        flips = rng.random((stop - start, spec.num_pixels))
+        np.less(flips, spec.flip_probs[comps[start:stop], None], out=flips)
+        np.not_equal(spec.prototypes[comps[start:stop]], flips, out=bits[start:stop])
+    return bits
+
+
 class BatchSampler:
-    """Callable (rng, n) -> float64 (n, d) batch; exposes num_visible for
-    model sizing. This is the sampler `training.train` takes."""
+    """Callable (rng, n) -> float64 (n, d) batch, or (R, n, d) from a list
+    of R generators; exposes num_visible for model sizing. This is the
+    sampler `training.train` and `training.train_lockstep` take."""
 
     def __init__(self, spec: MixtureSpec):
         self.spec = spec

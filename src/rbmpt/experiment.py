@@ -26,7 +26,7 @@ import numpy as np
 from . import dataset as ds
 from . import rbm
 from .adaptation import AdaptationConfig
-from .training import TrainConfig, train, write_metrics_csv
+from .training import TrainConfig, train_lockstep, write_metrics_csv
 
 logger = logging.getLogger(__name__)
 
@@ -170,7 +170,7 @@ def build_dataset(data: DatasetSettings) -> tuple[ds.MixtureSpec, rbm.DistinctRo
     )
     if data.eval_size > 0:
         eval_data = rbm.distinct_rows(
-            ds.sample_batch(
+            ds.sample_bits(
                 spec, np.random.default_rng([data.data_seed, _EVAL_STREAM]), data.eval_size
             )
         )
@@ -183,54 +183,62 @@ def run_stem(label: str, seed: int) -> str:
     return f"{label}__seed{seed}"
 
 
-def execute_run(label: str, config: TrainConfig, data: DatasetSettings, dataset, out_dir) -> dict:
-    """Train one run on `dataset`, the `build_dataset(data)` pair, and persist
-    its artifacts; returns the manifest entry."""
+def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) -> list[dict]:
+    """Train `planned`'s replicate seeds in lockstep on `dataset`, the
+    `build_dataset(data)` pair, and persist each seed's artifacts; returns
+    their manifest entries. A seed's `measured_seconds` is the group's wall
+    time divided by the number of seeds, and its sidecar's `group_size`
+    says how many seeds shared it."""
     out_dir = Path(out_dir)
     spec, eval_data = dataset
+    configs = [dataclasses.replace(planned.config, seed=seed) for seed in planned.seeds]
     started = time.perf_counter()
-    result = train(config, ds.BatchSampler(spec), eval_data=eval_data)
+    results = train_lockstep(configs, ds.BatchSampler(spec), eval_data=eval_data)
     elapsed = time.perf_counter() - started
+    logger.info("%s: %d seeds finished in %.1fs", planned.label, len(configs), elapsed)
 
-    stem = run_stem(label, config.seed)
-    csv_path = out_dir / f"{stem}.csv"
-    params_path = out_dir / f"{stem}.rbm"
-    sidecar_path = out_dir / f"{stem}.json"
-    write_metrics_csv(csv_path, result.metrics)
-    rbm.save_params(result.params, params_path)
+    entries = []
+    for config, result in zip(configs, results):
+        stem = run_stem(planned.label, config.seed)
+        csv_path = out_dir / f"{stem}.csv"
+        params_path = out_dir / f"{stem}.rbm"
+        sidecar_path = out_dir / f"{stem}.json"
+        write_metrics_csv(csv_path, result.metrics)
+        rbm.save_params(result.params, params_path)
 
-    final = result.metrics[-1]
-    sidecar = {
-        "label": label,
-        "seed": config.seed,
-        "config": config_to_dict(config),
-        "dataset": dataclasses.asdict(data),
-        "final": {
-            "update_index": final.update_index,
-            "train_loglik": final.train_loglik,
-            "tau_hat": final.tau_hat,
-            "avg_swap_rate": final.avg_swap_rate,
-            "num_chains": final.num_chains,
-            "betas": final.betas,
-            "fup": final.fup,
-            "modeled_seconds": final.wall_clock_seconds,
-        },
-        "spawn_events": [dataclasses.asdict(ev) for ev in result.spawn_events],
-        "diverged_at": result.diverged_at,
-        "measured_seconds": elapsed,
-    }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-    logger.info(
-        "run %s finished in %.1fs (final loglik %s)", stem, elapsed, final.train_loglik
-    )
-    return {
-        "label": label,
-        "seed": config.seed,
-        "csv": csv_path.name,
-        "sidecar": sidecar_path.name,
-        "params": params_path.name,
-    }
+        final = result.metrics[-1]
+        sidecar = {
+            "label": planned.label,
+            "seed": config.seed,
+            "config": config_to_dict(config),
+            "dataset": dataclasses.asdict(data),
+            "final": {
+                "update_index": final.update_index,
+                "train_loglik": final.train_loglik,
+                "tau_hat": final.tau_hat,
+                "avg_swap_rate": final.avg_swap_rate,
+                "num_chains": final.num_chains,
+                "betas": final.betas,
+                "fup": final.fup,
+                "modeled_seconds": final.wall_clock_seconds,
+            },
+            "spawn_events": [dataclasses.asdict(ev) for ev in result.spawn_events],
+            "diverged_at": result.diverged_at,
+            "measured_seconds": elapsed / len(configs),
+            "group_size": len(configs),
+        }
+        with open(sidecar_path, "w") as fh:
+            json.dump(sidecar, fh, indent=2)
+        entries.append(
+            {
+                "label": planned.label,
+                "seed": config.seed,
+                "csv": csv_path.name,
+                "sidecar": sidecar_path.name,
+                "params": params_path.name,
+            }
+        )
+    return entries
 
 
 # One BLAS thread per pool worker: with one worker per CPU, BLAS's default
@@ -262,9 +270,9 @@ def _init_worker(data: DatasetSettings, out_dir: Path) -> None:
     _worker_context = (data, build_dataset(data), out_dir)
 
 
-def _worker(run: tuple[str, TrainConfig]) -> dict:
+def _worker(planned: PlannedRun) -> list[dict]:
     data, dataset, out_dir = _worker_context
-    return execute_run(*run, data, dataset, out_dir)
+    return execute_run(planned, data, dataset, out_dir)
 
 
 def _sem(values: list[float]) -> float:
@@ -320,21 +328,21 @@ def summarize_label(label: str, sidecars: list[dict]) -> dict:
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
     """Execute every run in the plan and write summaries plus the manifest.
 
-    With jobs > 1 the runs go to a pool of that many spawned worker
+    Each planned run trains its seeds in lockstep (`execute_run`). With
+    jobs > 1 the planned runs go to a pool of that many spawned worker
     processes, each with one BLAS thread; a script that calls this must
     guard its entry point with `if __name__ == "__main__":`.
+
+    A planned run that raises loses only its own seeds: their manifest
+    entries record the error, every other run finishes and gets its summary,
+    and once the manifest is written a RuntimeError names the failures.
     """
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    runs = [
-        (planned.label, dataclasses.replace(planned.config, seed=seed))
-        for planned in plan.runs
-        for seed in planned.seeds
-    ]
-
     # every run shares one dataset: built once here, or once per worker process
-    if jobs > 1 and len(runs) > 1:
+    outcomes: list[list[dict] | Exception] = []
+    if jobs > 1 and len(plan.runs) > 1:
         # spawned workers are fresh interpreters, which read the BLAS thread
         # settings when they import numpy
         with _environment(_WORKER_BLAS_ENV), ProcessPoolExecutor(
@@ -343,15 +351,33 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
             initializer=_init_worker,
             initargs=(plan.data, out_dir),
         ) as pool:
-            entries = list(pool.map(_worker, runs))
+            futures = [pool.submit(_worker, planned) for planned in plan.runs]
+            for future in futures:
+                try:
+                    outcomes.append(future.result())
+                except Exception as exc:
+                    outcomes.append(exc)
     else:
         dataset = build_dataset(plan.data)
-        entries = [
-            execute_run(label, config, plan.data, dataset, out_dir) for label, config in runs
-        ]
+        for planned in plan.runs:
+            try:
+                outcomes.append(execute_run(planned, plan.data, dataset, out_dir))
+            except Exception as exc:
+                outcomes.append(exc)
 
+    entries = []
     summaries = {}
-    for planned in plan.runs:
+    failures = []
+    for planned, outcome in zip(plan.runs, outcomes):
+        if isinstance(outcome, Exception):
+            error = f"{type(outcome).__name__}: {outcome}"
+            logger.error("%s failed: %s", planned.label, error, exc_info=outcome)
+            entries += [
+                {"label": planned.label, "seed": seed, "error": error} for seed in planned.seeds
+            ]
+            failures.append(f"{planned.label} ({error})")
+            continue
+        entries += outcome
         sidecars = []
         for seed in planned.seeds:
             with open(out_dir / f"{run_stem(planned.label, seed)}.json") as fh:
@@ -370,6 +396,10 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
     }
     with open(out_dir / MANIFEST_NAME, "w") as fh:
         json.dump(manifest, fh, indent=2)
+    if failures:
+        raise RuntimeError(
+            f"{len(failures)} of {len(plan.runs)} planned runs failed: " + "; ".join(failures)
+        )
     return 0
 
 
@@ -387,7 +417,8 @@ def _fmt(value, width, digits=4) -> str:
 
 def summarize(output_dir, stream) -> int:
     """Print the per-label summary table; list missing files but still print
-    whatever is available."""
+    whatever is available. `wall_s` is the mean measured seconds per seed:
+    the wall time of the label's lockstep group divided by its seeds."""
     out_dir = Path(output_dir)
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():

@@ -38,9 +38,26 @@ class IntractableModelError(ValueError):
 
 
 def split_flat(flat: np.ndarray, nh: int, nv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Views of weights, hidden bias and visible bias in a flat parameter buffer."""
+    """Views of weights, hidden bias and visible bias in a flat parameter
+    buffer, (P,), or in each row of a stack of them, (R, P)."""
     k = nh * nv
-    return flat[:k].reshape(nh, nv), flat[k : k + nh], flat[k + nh :]
+    lead = flat.shape[:-1]
+    return flat[..., :k].reshape(*lead, nh, nv), flat[..., k : k + nh], flat[..., k + nh :]
+
+
+def stacked_random(rngs: list[np.random.Generator]):
+    """A `random(shape)` for a stack of R replicas: an (R, *shape) array
+    whose slice r generator rngs[r] fills, with the doubles
+    `rngs[r].random(shape)` would return. With `rng.random` for a lone
+    generator, a kernel draws the same way for both."""
+
+    def random(shape: tuple[int, ...]) -> np.ndarray:
+        out = np.empty((len(rngs), *shape))
+        for generator, block in zip(rngs, out):
+            generator.random(out=block)
+        return out
+
+    return random
 
 
 @dataclass
@@ -50,6 +67,8 @@ class RbmParams:
     The three arrays are copied into one contiguous float64 buffer, `flat`
     (row-major weights, then hidden bias, then visible bias), and are views
     of it, so a check over every parameter is one pass over `flat`.
+    `RbmParams.view` wraps an existing buffer instead, which may also be a
+    stack of R models, (R, P): the kernels then treat each row as one model.
     """
 
     weights: np.ndarray
@@ -73,13 +92,26 @@ class RbmParams:
         if not np.isfinite(self.flat).all():
             raise ValueError("parameters contain non-finite entries")
 
+    @classmethod
+    def view(cls, flat: np.ndarray, nh: int, nv: int) -> "RbmParams":
+        """Parameters whose arrays are views of `flat`, (P,) or (R, P), as
+        they stand: no copy and no check. The biases of a stack are
+        (R, 1, n), so they broadcast over each replica's rows of states."""
+        params = cls.__new__(cls)
+        params.flat = flat
+        weights, hidden_bias, visible_bias = split_flat(flat, nh, nv)
+        if flat.ndim == 2:
+            hidden_bias, visible_bias = hidden_bias[:, None], visible_bias[:, None]
+        params.weights, params.hidden_bias, params.visible_bias = weights, hidden_bias, visible_bias
+        return params
+
     @property
     def num_hidden(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def num_visible(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
 
 def init_params(num_visible: int, num_hidden: int, rng: np.random.Generator) -> RbmParams:
@@ -97,12 +129,24 @@ def energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> np.n
     return -(interaction + hidden @ params.hidden_bias + visible @ params.visible_bias)
 
 
+def stacked_energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """`energies` of R replicas in one call: stacked params, visible
+    (R, m, nv) and hidden (R, m, nh) give (R, m), row r with the bits of
+    `energies` on replica r."""
+    interaction = np.vecdot(hidden @ params.weights, visible)
+    # a (m, n) @ (n, 1) product per slice is the 2-D matrix-vector product
+    hidden_term = (hidden @ params.hidden_bias.mT)[..., 0]
+    visible_term = (visible @ params.visible_bias.mT)[..., 0]
+    return -(interaction + hidden_term + visible_term)
+
+
 def hidden_conditional(params: RbmParams, visible: np.ndarray) -> np.ndarray:
     """p(h_i = 1 | v) at beta = 1, componentwise logistic of b + W v.
 
-    Accepts a single visible vector (nv,) or a batch (m, nv).
+    Accepts a single visible vector (nv,), a batch (m, nv), or with stacked
+    params one batch per replica, (R, m, nv).
     """
-    act = visible @ params.weights.T
+    act = visible @ params.weights.mT
     act += params.hidden_bias
     return expit(act, out=act)
 
@@ -132,7 +176,7 @@ def gibbs_sweep_chains(
     hidden: np.ndarray,
     betas: np.ndarray,
     steps: int,
-    rng: np.random.Generator,
+    rng,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance m chains by `steps` Gibbs alternations, chain i at betas[i]:
     h ~ p_beta(h | v) = logistic(beta (b + W v)), then v ~ p_beta(v | h) =
@@ -143,20 +187,27 @@ def gibbs_sweep_chains(
     works in place on its pre-activation and uniform buffers; the input
     arrays are not modified.
 
-    A phase with fewer than `_VECTOR_LOGISTIC_MIN` entries takes its
-    probabilities from expit, so its draws are those of the reference
+    A stack of R replicas runs in the same calls: stacked params, visible
+    (R, m, nv), hidden (R, m, nh), betas (R, m), and `rng` a list of R
+    generators, replica r drawing its blocks from rng[r]. Every replica
+    gets the bits its own 2-D call would give.
+
+    A phase with fewer than `_VECTOR_LOGISTIC_MIN` entries per replica takes
+    its probabilities from expit, so its draws are those of the reference
     formula bit for bit. A larger phase uses numpy's vectorised exp, which
     may put a probability up to 2 ulp away from expit's; only the 0/1
     draws leave this function, and a draw changes only when its uniform
     falls inside that band, which has probability at most 2^-52 per draw.
     """
-    b = betas[:, None]
+    b = betas[..., None]
     weights = params.weights
-    weights_t = weights.T
+    weights_t = weights.mT
     hidden_bias = params.hidden_bias
     visible_bias = params.visible_bias
-    m = visible.shape[0]
-    nh, nv = weights.shape
+    random = rng.random if type(rng) is not list else stacked_random(rng)
+    m = visible.shape[-2]
+    nh, nv = weights.shape[-2:]
+    # chosen per replica, so a replica's bits do not depend on the stack size
     hidden_logistic = _logistic_for(m * nh)
     visible_logistic = _logistic_for(m * nv)
     for _ in range(steps):
@@ -164,13 +215,13 @@ def gibbs_sweep_chains(
         ph += hidden_bias
         ph *= b
         hidden_logistic(ph, out=ph)
-        hidden = rng.random(ph.shape)
+        hidden = random((m, nh))
         np.less(hidden, ph, out=hidden)
         pv = hidden @ weights
         pv += visible_bias
         pv *= b
         visible_logistic(pv, out=pv)
-        visible = rng.random(pv.shape)
+        visible = random((m, nv))
         np.less(visible, pv, out=visible)
     return visible, hidden
 
@@ -258,23 +309,29 @@ class DistinctRows:
 
 def distinct_rows(data: np.ndarray) -> DistinctRows:
     """An (m, nv) array of 0/1 rows, m >= 1, as a DistinctRows; a ValueError
-    for any other input. Rows are grouped by their packed bits.
+    for any other input. Rows are grouped by their packed bits. A boolean
+    array is read as is, so only its distinct rows are ever held as floats.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError(f"data must be a matrix of at least one row, got shape {data.shape}")
-    bits = data == 1.0
-    keys = np.packbits(bits, axis=1)
-    num_ones = np.count_nonzero(bits)
-    # the rows are binary when the ones are all the nonzero entries
-    if num_ones != np.count_nonzero(np.not_equal(data, 0.0, out=bits)):
-        raise ValueError("data rows must hold only 0 and 1")
+    if data.dtype == bool:
+        bits = data
+        keys = np.packbits(bits, axis=1)
+    else:
+        data = data.astype(np.float64, copy=False)
+        bits = data == 1.0
+        keys = np.packbits(bits, axis=1)
+        num_ones = np.count_nonzero(bits)
+        # the rows are binary when the ones are all the nonzero entries
+        if num_ones != np.count_nonzero(np.not_equal(data, 0.0, out=bits)):
+            raise ValueError("data rows must hold only 0 and 1")
     # one opaque record per row, so np.unique compares whole rows bytewise
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     # rows in order of first occurrence: the gather reads `data` front to back
     order = first.argsort()
-    rows = data[first[order]]
+    rows = data[first[order]].astype(np.float64, copy=False)
     counts = counts[order].astype(np.float64)
     visible_sum = counts @ rows
     for array in (rows, counts, visible_sum):
@@ -288,6 +345,11 @@ def exact_log_likelihood(params: RbmParams, data: DistinctRows) -> float:
     With n_r copies of the distinct row v_r among N rows, the mean is
     [sum_r n_r sum_j softplus(b + W v_r)_j + (sum_r n_r v_r) . c] / N - log Z.
     """
+    if not isinstance(data, DistinctRows):
+        raise TypeError(
+            f"data must be an rbm.DistinctRows (build one with rbm.distinct_rows), "
+            f"got {type(data).__name__}"
+        )
     log_z = exact_log_partition(params)
     # (nh, r) rather than (r, nh): the faster layout for BLAS, the same bits
     act = params.weights @ data.rows.T

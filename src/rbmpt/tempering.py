@@ -161,11 +161,44 @@ def swap_ratio(energy_i: float, energy_j: float, beta_i: float, beta_j: float) -
     return math.exp(min((beta_i - beta_j) * (energy_i - energy_j), 0.0))
 
 
+class EnsembleStack:
+    """Ensembles of one ladder length advanced in lockstep. Their betas,
+    particles, flow labels, counters and flow histograms are stacked on a
+    leading replica axis: `betas`, `labels` and `counters` (R, M), `visible`
+    (R, M, nv), `hidden` (R, M, nh) and `flow` (R, 2, M). Each member's
+    arrays of the same names are views of its row, so a member reads and
+    writes them as it would alone. A member that changes its ladder length
+    (`insert_chain`) gets arrays of its own and no longer belongs here."""
+
+    def __init__(self, ensembles: list[Ensemble]):
+        self.ensembles = list(ensembles)
+        for name in ("betas", "labels", "counters", "flow"):
+            setattr(self, name, np.stack([getattr(ens, name) for ens in self.ensembles]))
+        for ens, betas, labels, counters, flow in zip(
+            self.ensembles, self.betas, self.labels, self.counters, self.flow
+        ):
+            ens.betas, ens.labels, ens.counters = betas, labels, counters
+            ens._set_flow(flow)
+        self._set_particles(
+            np.stack([ens.visible for ens in self.ensembles]),
+            np.stack([ens.hidden for ens in self.ensembles]),
+        )
+
+    @property
+    def num_chains(self) -> int:
+        return self.betas.shape[1]
+
+    def _set_particles(self, visible: np.ndarray, hidden: np.ndarray) -> None:
+        self.visible, self.hidden = visible, hidden
+        for ens, v, h in zip(self.ensembles, visible, hidden):
+            ens.visible, ens.hidden = v, h
+
+
 def deo_sweep(
-    ensemble: Ensemble,
+    ensemble: Ensemble | EnsembleStack,
     params: rbm.RbmParams,
     gibbs_steps: int,
-    rng: np.random.Generator,
+    rng,
 ) -> None:
     """One DEO sweep: Gibbs-advance every chain at its own beta, then propose
     swaps on all adjacent pairs of the current parity, then flip the parity.
@@ -177,43 +210,98 @@ def deo_sweep(
     slot turns "up" into "down"), a completed round trip resets its
     particle's counter and folds into the return-time estimate, and any
     post-spawn burn-in countdown ticks down.
+
+    An `EnsembleStack` sweeps all its members in one Gibbs call and one
+    `rbm.stacked_energies` call, with stacked `params` (`RbmParams.view` of
+    an (R, P) buffer) and `rng` a list of one generator per member. Each
+    member draws from its own generator, in the order a lone sweep draws,
+    decides its own swaps, and ends in the state a lone sweep would leave.
     """
-    m = ensemble.betas.shape[0]
-    parity = ensemble.sweep_parity
+    if isinstance(ensemble, EnsembleStack):
+        _deo_sweep_stack(ensemble, params, gibbs_steps, rng)
+        return
     visible, hidden = rbm.gibbs_sweep_chains(
         params, ensemble.visible, ensemble.hidden, ensemble.betas, gibbs_steps, rng
     )
-    labels, counters = ensemble.labels, ensemble.counters
-
-    lo = range(parity, m - 1, 2)
-    if lo:
-        e = rbm.energies(params, visible, hidden).tolist()
-        b = ensemble.betas.tolist()
-        accepted = [
-            u < swap_ratio(e[i], e[i + 1], b[i], b[i + 1])
-            for i, u in zip(lo, rng.random(len(lo)).tolist())
-        ]
-        if any(accepted):
+    m = ensemble.betas.shape[0]
+    if ensemble.sweep_parity < m - 1:
+        order = _swap_round(ensemble, rbm.energies(params, visible, hidden).tolist(), rng)
+        if order is not None:
             # an accepted pair trades rows: one gather per particle array
-            order = list(range(m))
-            for i, swap in zip(lo, accepted):
-                if swap:
-                    order[i], order[i + 1] = i + 1, i
             order = np.array(order)
             visible = visible.take(order, axis=0)
             hidden = hidden.take(order, axis=0)
-            labels = labels.take(order)
-            counters = counters.take(order)
-            ensemble.labels, ensemble.counters = labels, counters
-        rates = ensemble.swap_rate_ema.tolist()
-        for i, swap in zip(lo, accepted):
-            rates[i] = rates[i] * SWAP_RATE_EMA_DECAY + (_SWAP_RATE_GAIN if swap else 0.0)
-        ensemble.swap_rate_ema[:] = rates
+            ensemble.labels = ensemble.labels.take(order)
+            ensemble.counters = ensemble.counters.take(order)
     ensemble.visible, ensemble.hidden = visible, hidden
-    ensemble.sweep_parity = parity ^ 1
+    if m > 1:
+        ensemble.counters += 1
+    _end_sweep(ensemble)
 
+
+def _deo_sweep_stack(
+    stack: EnsembleStack, params: rbm.RbmParams, gibbs_steps: int, rngs: list
+) -> None:
+    members = stack.ensembles
+    visible, hidden = rbm.gibbs_sweep_chains(
+        params, stack.visible, stack.hidden, stack.betas, gibbs_steps, rngs
+    )
+    m = stack.num_chains
+    # members step together, so they share the sweep parity
+    if members[0].sweep_parity < m - 1:
+        e = rbm.stacked_energies(params, visible, hidden).tolist()
+        orders = [_swap_round(ens, row, rng) for ens, row, rng in zip(members, e, rngs)]
+        if orders.count(None) < len(orders):
+            # one gather per stacked array, replica r's rows at offset r * m
+            rows = []
+            for offset, order in zip(range(0, m * len(orders), m), orders):
+                rows += range(offset, offset + m) if order is None else [offset + i for i in order]
+            rows = np.array(rows)
+            visible = visible.reshape(rows.size, -1).take(rows, axis=0).reshape(visible.shape)
+            hidden = hidden.reshape(rows.size, -1).take(rows, axis=0).reshape(hidden.shape)
+            # in place, so the members' views stay valid; take buffers the overlap
+            for flat in (stack.labels.reshape(-1), stack.counters.reshape(-1)):
+                flat.take(rows, out=flat)
+    stack._set_particles(visible, hidden)
+    if m > 1:
+        stack.counters += 1
+    for ens in members:
+        _end_sweep(ens)
+
+
+def _swap_round(ensemble: Ensemble, e: list[float], rng) -> list[int] | None:
+    """Propose the pairs of the current parity on particle energies `e`,
+    one uniform each from `rng`, and update their swap-rate estimates.
+    Returns the slot each new occupant comes from, or None when no pair
+    swapped."""
+    m = len(e)
+    lo = range(ensemble.sweep_parity, m - 1, 2)
+    b = ensemble.betas.tolist()
+    accepted = [
+        u < swap_ratio(e[i], e[i + 1], b[i], b[i + 1])
+        for i, u in zip(lo, rng.random(len(lo)).tolist())
+    ]
+    rates = ensemble.swap_rate_ema.tolist()
+    for i, swap in zip(lo, accepted):
+        rates[i] = rates[i] * SWAP_RATE_EMA_DECAY + (_SWAP_RATE_GAIN if swap else 0.0)
+    ensemble.swap_rate_ema[:] = rates
+    if not any(accepted):
+        return None
+    order = list(range(m))
+    for i, swap in zip(lo, accepted):
+        if swap:
+            order[i], order[i + 1] = i + 1, i
+    return order
+
+
+def _end_sweep(ensemble: Ensemble) -> None:
+    """Flip the parity, refresh the boundary labels of particles whose
+    counters have just aged, fold a completed round trip into the return
+    time and tick the burn-in."""
+    ensemble.sweep_parity ^= 1
+    m = ensemble.betas.shape[0]
     if m >= 2:
-        counters += 1
+        labels, counters = ensemble.labels, ensemble.counters
         first = labels[0]
         if first == _DOWN:
             trip = int(counters[0])
@@ -245,22 +333,29 @@ def estimate_return_time(ensemble: Ensemble) -> float:
     if ensemble.round_trip_ema is not None:
         tau = ensemble.round_trip_ema
     else:
-        tau = float(ensemble.counters.sum())
+        # a sum of a few ints is cheaper in Python than one numpy call
+        tau = float(sum(ensemble.counters.tolist()))
     ensemble.tau_hat = max(1.0, tau)
     return ensemble.tau_hat
 
 
-def update_flow_histograms(ensemble: Ensemble) -> None:
+def update_flow_histograms(ensemble: Ensemble | EnsembleStack) -> None:
     """EMA-update n_up/n_down from each slot's occupant label.
 
     A slot holding an up particle moves n_up toward 1 at rate 1/tau_hat and
     decays n_down; symmetrically for down particles. Unlabeled occupants let
-    both histograms decay.
+    both histograms decay. An `EnsembleStack` updates every member, each at
+    its own rate, in the same calls.
     """
-    rate = 1.0 / ensemble.tau_hat
+    if isinstance(ensemble, EnsembleStack):
+        rate = np.array([1.0 / ens.tau_hat for ens in ensemble.ensembles])[:, None, None]
+        labels = ensemble.labels[:, None]
+    else:
+        rate = 1.0 / ensemble.tau_hat
+        labels = ensemble.labels
     flow = ensemble.flow
     flow *= 1.0 - rate
-    np.add(flow, rate, out=flow, where=ensemble.labels == _FLOW_LABELS)
+    np.add(flow, rate, out=flow, where=labels == _FLOW_LABELS)
 
 
 def f_up(ensemble: Ensemble) -> np.ndarray:

@@ -12,6 +12,7 @@ in the ensemble and its adaptation.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +20,15 @@ import numpy as np
 
 from . import rbm
 from .adaptation import AdaptationConfig, SpawnEvent, adapt_betas, average_swap_rate, maybe_spawn
-from .tempering import Ensemble, deo_sweep, f_up, geometric_ladder, linear_ladder, update_flow_histograms
+from .tempering import (
+    Ensemble,
+    EnsembleStack,
+    deo_sweep,
+    f_up,
+    geometric_ladder,
+    linear_ladder,
+    update_flow_histograms,
+)
 
 ALGO_SML = "sml"
 ALGO_SML_PT = "sml-pt"
@@ -50,7 +59,12 @@ CSV_HEADER = [
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a gradient update produces unusable parameters."""
+    """Raised when a gradient update produces unusable parameters; the
+    boolean `diverged` marks the replicas that did (0-d for one model)."""
+
+    def __init__(self, message: str, diverged: np.ndarray):
+        super().__init__(message)
+        self.diverged = diverged
 
 
 @dataclass
@@ -144,7 +158,7 @@ def initial_ensemble(config: TrainConfig, num_visible: int, rng: np.random.Gener
 def sml_update(
     params: rbm.RbmParams,
     minibatch: np.ndarray,
-    sampler: Ensemble,
+    sampler: Ensemble | EnsembleStack,
     config: TrainConfig,
 ) -> None:
     """One gradient ascent step on the likelihood.
@@ -153,33 +167,222 @@ def sml_update(
     hidden units; negative statistics are phi(v-, h~-) read off the sampler's
     beta = 1 particle as it currently stands. Deterministic given that
     particle. `minibatch` must be a float64 (m, num_visible) array, as
-    `train` passes it.
+    `train` passes it. With stacked params, an `EnsembleStack` and an
+    (R, m, num_visible) minibatch, every replica takes its own step in the
+    same calls, with the bits of a lone step.
+
+    Raises DivergenceError, after the step, when a parameter is non-finite
+    or beyond THETA_ABS_LIMIT; its `diverged` mask marks the replicas.
     """
     h_pos = rbm.hidden_conditional(params, minibatch)
-    v_neg = sampler.visible[0]
+    # the beta = 1 particle: one vector, or a one-row batch per replica
+    visible = sampler.visible
+    v_neg = visible[0] if visible.ndim == 2 else visible[:, :1]
     h_neg = rbm.hidden_conditional(params, v_neg)
-    nh, nv = params.weights.shape
-    # the positive and negative statistics in buffers laid out like
-    # params.flat, so each arithmetic step is one pass over all three parts;
-    # add.reduce, then /= n, is what .mean(axis=0) computes: the same bits
+    nh, nv = params.weights.shape[-2:]
+    # the positive statistics in a buffer laid out like params.flat, so each
+    # arithmetic step is one pass over all three parts; add.reduce, then
+    # /= n, is what .mean(axis=0) computes: the same bits
     step = np.empty_like(params.flat)
     step_w, step_h, step_v = rbm.split_flat(step, nh, nv)
-    np.matmul(h_pos.T, minibatch, out=step_w)
-    np.add.reduce(h_pos, axis=0, out=step_h)
-    np.add.reduce(minibatch, axis=0, out=step_v)
-    neg = np.empty_like(step)
-    neg_w, neg_h, neg_v = rbm.split_flat(neg, nh, nv)
-    np.multiply(h_neg[:, None], v_neg, out=neg_w)
-    neg_h[:] = h_neg
-    neg_v[:] = v_neg
-    step /= minibatch.shape[0]
-    step -= neg
+    np.matmul(h_pos.mT, minibatch, out=step_w)
+    np.add.reduce(h_pos, axis=-2, out=step_h)
+    np.add.reduce(minibatch, axis=-2, out=step_v)
+    step /= minibatch.shape[-2]
+    h_neg = h_neg.reshape(step_h.shape)
+    v_neg = v_neg.reshape(step_v.shape)
+    step_w -= h_neg[..., None] * v_neg[..., None, :]
+    step_h -= h_neg
+    step_v -= v_neg
     step *= config.learning_rate
     params.flat += step
     # one pass over every parameter; a NaN fails the comparison and is
     # rejected too
     if not np.abs(params.flat).max() <= THETA_ABS_LIMIT:
-        raise DivergenceError("parameters diverged (non-finite or beyond magnitude limit)")
+        healthy = np.abs(params.flat).max(axis=-1) <= THETA_ABS_LIMIT
+        raise DivergenceError(
+            "parameters diverged (non-finite or beyond magnitude limit)", ~healthy
+        )
+
+
+@dataclass
+class _Run:
+    """One run's state while it trains: everything `train` used to keep in
+    locals. `params` and the ensemble's particles are views of its group's
+    stacks while it is in one."""
+
+    config: TrainConfig
+    rng: np.random.Generator
+    params: rbm.RbmParams
+    ensemble: Ensemble
+    metrics: list[MetricsRecord] = field(default_factory=list)
+    spawn_events: list[SpawnEvent] = field(default_factory=list)
+    diverged_at: int | None = None
+    work_units: float = 0.0
+
+    @classmethod
+    def start(cls, config: TrainConfig, num_visible: int) -> "_Run":
+        rng = np.random.default_rng(config.seed)
+        params = rbm.init_params(num_visible, config.num_hidden, rng)
+        return cls(config, rng, params, initial_ensemble(config, num_visible, rng))
+
+    def emit(self, update_index: int, eval_data: rbm.DistinctRows | None) -> None:
+        if eval_data is None:
+            loglik = None
+        else:
+            try:
+                loglik = rbm.exact_log_likelihood(self.params, eval_data)
+            except rbm.IntractableModelError:
+                loglik = None
+        ensemble = self.ensemble
+        self.metrics.append(
+            MetricsRecord(
+                update_index=update_index,
+                wall_clock_seconds=self.work_units * MODELED_SECONDS_PER_UNIT,
+                train_loglik=loglik,
+                tau_hat=ensemble.tau_hat,
+                avg_swap_rate=average_swap_rate(ensemble),
+                num_chains=ensemble.num_chains,
+                betas=[float(b) for b in ensemble.betas],
+                fup=[float(v) for v in f_up(ensemble)],
+                pair_swap_rates=[float(r) for r in ensemble.swap_rate_ema],
+            )
+        )
+
+    def result(self) -> TrainResult:
+        return TrainResult(
+            params=self.params,
+            ensemble=self.ensemble,
+            metrics=self.metrics,
+            spawn_events=self.spawn_events,
+            diverged_at=self.diverged_at,
+        )
+
+
+class _Lockstep:
+    """Runs of one configuration, at one ladder length, advanced together:
+    their parameters are the rows of one (R, P) stack and their ensembles
+    one `EnsembleStack`, so each kernel runs once per update for all R.
+    A lone run needs no stack: the same kernels take its own arrays."""
+
+    def __init__(self, runs: list[_Run]):
+        self.runs = runs
+        self.config = config = runs[0].config
+        self.adaptive = config.algorithm == ALGO_SML_APT
+        self.total_steps = config.num_updates + config.post_sampling_steps
+        nh, nv = runs[0].params.weights.shape
+        self.weight_size = nv * nh
+        if len(runs) == 1:
+            run = runs[0]
+            self.params, self.ensembles, self.rngs = run.params, run.ensemble, run.rng
+            return
+        flat = np.stack([run.params.flat for run in runs])
+        self.params = rbm.RbmParams.view(flat, nh, nv)
+        for run, row in zip(runs, flat):
+            run.params = rbm.RbmParams.view(row, nh, nv)
+        self.ensembles = EnsembleStack([run.ensemble for run in runs])
+        self.rngs = [run.rng for run in runs]
+
+    def step(self, update: int, sampler, eval_data) -> list[_Run]:
+        """Update `update` of every run, in a lone run's order; returns the
+        runs that leave the stack: those that diverged or spawned a chain."""
+        runs, config = self.runs, self.config
+        learning = update <= config.num_updates
+        gibbs_steps = config.gibbs_steps_per_update
+        if learning:
+            batch = sampler(self.rngs, config.minibatch_size)
+        deo_sweep(self.ensembles, self.params, gibbs_steps, self.rngs)
+        m = self.ensembles.num_chains
+        # modeled cost: the sweep, the swap-phase energies and the gradient
+        # step; whole numbers below 2^53, so the float sums are exact
+        work = gibbs_steps * m * 2 * self.weight_size
+        if m > 1:
+            work += m * self.weight_size
+        if learning:
+            work += 3 * config.minibatch_size * self.weight_size
+        if m > 1:
+            update_flow_histograms(self.ensembles)
+        leaving = []
+        for run in runs:
+            run.work_units += work
+            ensemble = run.ensemble
+            if self.adaptive and ensemble.burn_in_remaining == 0:
+                adaptation = config.adaptation
+                adapt_betas(ensemble, adaptation)
+                if update % adaptation.spawn_check_interval == 0:
+                    event = maybe_spawn(ensemble, adaptation, update_index=update)
+                    if event is not None:
+                        run.spawn_events.append(event)
+                        leaving.append(run)
+        live = runs
+        if learning:
+            try:
+                # a spawn inserts at slot 1 or later: slot 0 is still the stack's
+                sml_update(self.params, batch, self.ensembles, config)
+            except DivergenceError as err:
+                live = []
+                for run, bad in zip(runs, err.diverged.reshape(-1)):
+                    if bad:
+                        run.diverged_at = update
+                        run.emit(update, eval_data)
+                        if run not in leaving:
+                            leaving.append(run)
+                    else:
+                        live.append(run)
+        if update % config.eval_interval == 0 or update == self.total_steps:
+            for run in live:
+                run.emit(update, eval_data)
+        return leaving
+
+
+def train_lockstep(
+    configs: list[TrainConfig],
+    sampler,
+    eval_data: rbm.DistinctRows | None = None,
+) -> list[TrainResult]:
+    """Train one run per config, as `train` would, advancing the runs
+    together: `configs` may differ only in their seed.
+
+    Each update runs the Gibbs sweep, the energies, the minibatch draw and
+    the gradient step once over a stacked replica axis, while every run
+    keeps its own generator, swap decisions and ladder bookkeeping, so each
+    result has the bits `train` gives its config alone. A run that diverges
+    stops; one whose ladder grows by a spawn leaves the stack and goes on
+    alone. `sampler` must also take a list of R generators and return an
+    (R, n, num_visible) stack, as `dataset.BatchSampler` does.
+    """
+    if eval_data is not None and not isinstance(eval_data, rbm.DistinctRows):
+        raise TypeError(
+            f"eval_data must be an rbm.DistinctRows (build one with rbm.distinct_rows), "
+            f"got {type(eval_data).__name__}"
+        )
+    if not configs:
+        raise ValueError("train_lockstep needs at least one config")
+    shared = dataclasses.replace(configs[0], seed=0)
+    if any(dataclasses.replace(config, seed=0) != shared for config in configs):
+        raise ValueError("lockstep runs must differ only in their seed")
+    num_visible = sampler.num_visible
+    runs = [_Run.start(config, num_visible) for config in configs]
+    for run in runs:
+        run.emit(0, eval_data)
+    groups = [_Lockstep(runs)]
+    for update in range(1, shared.num_updates + shared.post_sampling_steps + 1):
+        leaving = [group.step(update, sampler, eval_data) for group in groups]
+        if any(leaving):
+            groups = [new for group, gone in zip(groups, leaving) for new in _regroup(group, gone)]
+            if not groups:
+                break
+    return [run.result() for run in runs]
+
+
+def _regroup(group: _Lockstep, leaving: list[_Run]) -> list[_Lockstep]:
+    """The groups that carry on `group`'s runs once `leaving` have left it:
+    a grown ladder goes on alone, a diverged run is done."""
+    if not leaving:
+        return [group]
+    staying = [run for run in group.runs if run not in leaving]
+    regrouped = [_Lockstep(staying)] if staying else []
+    return regrouped + [_Lockstep([run]) for run in leaving if run.diverged_at is None]
 
 
 def train(
@@ -195,86 +398,12 @@ def train(
     (n, num_visible) array, such as `dataset.BatchSampler`, whose
     `num_visible` attribute sizes the model. A metrics record is emitted at
     update 0, every `eval_interval` updates, and at the end; the likelihood
-    column is the exact mean log-likelihood of `eval_data`, or "n/a" when
-    there is none or no layer is enumerable. A divergence aborts learning
-    but still returns the metrics collected so far.
+    column is the exact mean log-likelihood of `eval_data`, an
+    `rbm.DistinctRows`, or "n/a" when there is none or no layer is
+    enumerable. A divergence aborts learning but still returns the metrics
+    collected so far. This is `train_lockstep` with one run.
     """
-    rng = np.random.default_rng(config.seed)
-    num_visible = sampler.num_visible
-    params = rbm.init_params(num_visible, config.num_hidden, rng)
-    ensemble = initial_ensemble(config, num_visible, rng)
-    adaptive = config.algorithm == ALGO_SML_APT
-
-    metrics: list[MetricsRecord] = []
-    spawn_events: list[SpawnEvent] = []
-    diverged_at: int | None = None
-    work_units = 0.0
-    weight_size = num_visible * config.num_hidden
-
-    def emit(update_index: int) -> None:
-        if eval_data is None:
-            loglik = None
-        else:
-            try:
-                loglik = rbm.exact_log_likelihood(params, eval_data)
-            except rbm.IntractableModelError:
-                loglik = None
-        metrics.append(
-            MetricsRecord(
-                update_index=update_index,
-                wall_clock_seconds=work_units * MODELED_SECONDS_PER_UNIT,
-                train_loglik=loglik,
-                tau_hat=ensemble.tau_hat,
-                avg_swap_rate=average_swap_rate(ensemble),
-                num_chains=ensemble.num_chains,
-                betas=[float(b) for b in ensemble.betas],
-                fup=[float(v) for v in f_up(ensemble)],
-                pair_swap_rates=[float(r) for r in ensemble.swap_rate_ema],
-            )
-        )
-
-    emit(0)
-    num_updates = config.num_updates
-    total_steps = num_updates + config.post_sampling_steps
-    minibatch_size = config.minibatch_size
-    gibbs_steps = config.gibbs_steps_per_update
-    eval_interval = config.eval_interval
-    adaptation = config.adaptation
-    spawn_interval = adaptation.spawn_check_interval
-    for update in range(1, total_steps + 1):
-        learning = update <= num_updates
-        if learning:
-            batch = sampler(rng, minibatch_size)
-        deo_sweep(ensemble, params, gibbs_steps, rng)
-        m = ensemble.num_chains
-        work_units += gibbs_steps * m * 2 * weight_size
-        if m > 1:
-            work_units += m * weight_size  # swap-phase energy evaluations
-            update_flow_histograms(ensemble)
-        if adaptive and ensemble.burn_in_remaining == 0:
-            adapt_betas(ensemble, adaptation)
-            if update % spawn_interval == 0:
-                event = maybe_spawn(ensemble, adaptation, update_index=update)
-                if event is not None:
-                    spawn_events.append(event)
-        if learning:
-            work_units += 3 * minibatch_size * weight_size
-            try:
-                sml_update(params, batch, ensemble, config)
-            except DivergenceError:
-                diverged_at = update
-                emit(update)
-                break
-        if update % eval_interval == 0 or update == total_steps:
-            emit(update)
-
-    return TrainResult(
-        params=params,
-        ensemble=ensemble,
-        metrics=metrics,
-        spawn_events=spawn_events,
-        diverged_at=diverged_at,
-    )
+    return train_lockstep([config], sampler, eval_data)[0]
 
 
 def write_metrics_csv(path, metrics: list[MetricsRecord]) -> None:

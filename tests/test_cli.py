@@ -256,7 +256,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise ValueError("f_up contains non-finite entries")
 
-        monkeypatch.setattr(experiment, "train", fail)
+        monkeypatch.setattr(experiment, "train_lockstep", fail)
         assert run_cli(tiny_train_args(tmp_path)) == cli.RUNTIME_ERROR
 
     def test_console_entry_point(self, tmp_path):
