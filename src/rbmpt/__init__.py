@@ -20,7 +20,6 @@ from .rbm import (
 from .tempering import (
     Ensemble,
     EnsembleStack,
-    Label,
     deo_sweep,
     estimate_return_time,
     f_up,

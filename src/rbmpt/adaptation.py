@@ -120,7 +120,7 @@ def adapt_betas(ensemble: Ensemble, config: AdaptationConfig) -> None:
     if m <= 2:
         return
     betas = ensemble.betas
-    t = _interior_targets(betas, ensemble.up_fractions()).tolist()
+    t = _interior_targets(betas, f_up(ensemble)).tolist()
     mu = config.beta_learning_rate
     # one pass on Python floats does the step and the forward projection in
     # the same order as a vectorised step followed by the loop; the

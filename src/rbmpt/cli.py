@@ -121,7 +121,8 @@ def read_config_file(path, command: str) -> dict:
 
 def apply_settings(plan: ExperimentPlan, values: dict) -> ExperimentPlan:
     """Set each flag's value (keyed by flag name) on every run of `plan` and
-    on its dataset; the settings objects validate the result."""
+    on its dataset; the settings objects and the rebuilt plan validate the
+    result."""
     fields = {"run": {}, "config": {}, "adaptation": {}, "dataset": {}}
     for flag, value in values.items():
         setting = SETTINGS[flag]
@@ -131,8 +132,7 @@ def apply_settings(plan: ExperimentPlan, values: dict) -> ExperimentPlan:
         run.config = dataclasses.replace(run.config, adaptation=adaptation, **fields["config"])
         for name, value in fields["run"].items():
             setattr(run, name, value)
-    plan.data = dataclasses.replace(plan.data, **fields["dataset"])
-    return plan
+    return dataclasses.replace(plan, data=dataclasses.replace(plan.data, **fields["dataset"]))
 
 
 def _setting_values(args) -> dict:

@@ -75,6 +75,9 @@ class ExperimentPlan:
         if len(set(labels)) != len(labels):
             raise ValueError("run labels must be unique")
         for run in self.runs:
+            # a label starts every artifact's file name
+            if not run.label or any(c in run.label for c in ("/", os.sep, "\0")):
+                raise ValueError(f"run label {run.label!r} must be a non-empty file name")
             if not run.seeds:
                 raise ValueError(f"a run needs at least one replicate seed ({run.label})")
             if len(set(run.seeds)) != len(run.seeds):
@@ -183,6 +186,20 @@ def run_stem(label: str, seed: int) -> str:
     return f"{label}__seed{seed}"
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A temp path beside `path` to write to; renamed over `path` once the
+    block succeeds, so an interrupted write leaves the old file, or none,
+    never a truncated one, and removed if the block raises."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) -> list[dict]:
     """Train `planned`'s replicate seeds in lockstep on `dataset`, the
     `build_dataset(data)` pair, and persist each seed's artifacts; returns
@@ -198,13 +215,16 @@ def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) ->
     logger.info("%s: %d seeds finished in %.1fs", planned.label, len(configs), elapsed)
 
     entries = []
-    for config, result in zip(configs, results):
+    for result in results:
+        config = result.config
         stem = run_stem(planned.label, config.seed)
         csv_path = out_dir / f"{stem}.csv"
         params_path = out_dir / f"{stem}.rbm"
         sidecar_path = out_dir / f"{stem}.json"
-        write_metrics_csv(csv_path, result.metrics)
-        rbm.save_params(result.params, params_path)
+        with _replacing(csv_path) as tmp:
+            write_metrics_csv(tmp, result.metrics)
+        with _replacing(params_path) as tmp:
+            rbm.save_params(result.params, tmp)
 
         final = result.metrics[-1]
         sidecar = {
@@ -227,7 +247,7 @@ def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) ->
             "measured_seconds": elapsed / len(configs),
             "group_size": len(configs),
         }
-        with open(sidecar_path, "w") as fh:
+        with _replacing(sidecar_path) as tmp, open(tmp, "w") as fh:
             json.dump(sidecar, fh, indent=2)
         entries.append(
             {
@@ -384,7 +404,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
                 sidecars.append(json.load(fh))
         summary = summarize_label(planned.label, sidecars)
         summary_path = out_dir / f"{planned.label}__summary.json"
-        with open(summary_path, "w") as fh:
+        with _replacing(summary_path) as tmp, open(tmp, "w") as fh:
             json.dump(summary, fh, indent=2)
         summaries[planned.label] = summary_path.name
 
@@ -394,7 +414,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
         "runs": entries,
         "summaries": summaries,
     }
-    with open(out_dir / MANIFEST_NAME, "w") as fh:
+    with _replacing(out_dir / MANIFEST_NAME) as tmp, open(tmp, "w") as fh:
         json.dump(manifest, fh, indent=2)
     if failures:
         raise RuntimeError(

@@ -135,15 +135,6 @@ class MetricsRecord:
         ]
 
 
-@dataclass
-class TrainResult:
-    params: rbm.RbmParams
-    ensemble: Ensemble
-    metrics: list[MetricsRecord]
-    spawn_events: list[SpawnEvent]
-    diverged_at: int | None
-
-
 def initial_ensemble(config: TrainConfig, num_visible: int, rng: np.random.Generator) -> Ensemble:
     """Build the negative-phase ensemble the configured algorithm needs."""
     if config.algorithm == ALGO_SML:
@@ -175,9 +166,8 @@ def sml_update(
     or beyond THETA_ABS_LIMIT; its `diverged` mask marks the replicas.
     """
     h_pos = rbm.hidden_conditional(params, minibatch)
-    # the beta = 1 particle: one vector, or a one-row batch per replica
-    visible = sampler.visible
-    v_neg = visible[0] if visible.ndim == 2 else visible[:, :1]
+    # the beta = 1 particle, a one-row batch (per replica)
+    v_neg = sampler.visible[..., :1, :]
     h_neg = rbm.hidden_conditional(params, v_neg)
     nh, nv = params.weights.shape[-2:]
     # the positive statistics in a buffer laid out like params.flat, so each
@@ -206,10 +196,10 @@ def sml_update(
 
 
 @dataclass
-class _Run:
-    """One run's state while it trains: everything `train` used to keep in
-    locals. `params` and the ensemble's particles are views of its group's
-    stacks while it is in one."""
+class TrainResult:
+    """One run: its state while it trains, and what `train` returns.
+    `params` and the ensemble's arrays are views of its group's stacks
+    while it is in one; `work_units` is the modeled cost so far."""
 
     config: TrainConfig
     rng: np.random.Generator
@@ -221,7 +211,7 @@ class _Run:
     work_units: float = 0.0
 
     @classmethod
-    def start(cls, config: TrainConfig, num_visible: int) -> "_Run":
+    def start(cls, config: TrainConfig, num_visible: int) -> "TrainResult":
         rng = np.random.default_rng(config.seed)
         params = rbm.init_params(num_visible, config.num_hidden, rng)
         return cls(config, rng, params, initial_ensemble(config, num_visible, rng))
@@ -244,18 +234,9 @@ class _Run:
                 avg_swap_rate=average_swap_rate(ensemble),
                 num_chains=ensemble.num_chains,
                 betas=[float(b) for b in ensemble.betas],
-                fup=[float(v) for v in f_up(ensemble)],
+                fup=f_up(ensemble),
                 pair_swap_rates=[float(r) for r in ensemble.swap_rate_ema],
             )
-        )
-
-    def result(self) -> TrainResult:
-        return TrainResult(
-            params=self.params,
-            ensemble=self.ensemble,
-            metrics=self.metrics,
-            spawn_events=self.spawn_events,
-            diverged_at=self.diverged_at,
         )
 
 
@@ -263,9 +244,11 @@ class _Lockstep:
     """Runs of one configuration, at one ladder length, advanced together:
     their parameters are the rows of one (R, P) stack and their ensembles
     one `EnsembleStack`, so each kernel runs once per update for all R.
-    A lone run needs no stack: the same kernels take its own arrays."""
+    A lone run needs no stack: the same kernels take its own arrays. (Always
+    stacking, with members that own their arrays and are re-stacked every
+    sweep, gave the same bits but cost `grid-ci` about 8% per update.)"""
 
-    def __init__(self, runs: list[_Run]):
+    def __init__(self, runs: list[TrainResult]):
         self.runs = runs
         self.config = config = runs[0].config
         self.adaptive = config.algorithm == ALGO_SML_APT
@@ -283,7 +266,7 @@ class _Lockstep:
         self.ensembles = EnsembleStack([run.ensemble for run in runs])
         self.rngs = [run.rng for run in runs]
 
-    def step(self, update: int, sampler, eval_data) -> list[_Run]:
+    def step(self, update: int, sampler, eval_data) -> list[TrainResult]:
         """Update `update` of every run, in a lone run's order; returns the
         runs that leave the stack: those that diverged or spawned a chain."""
         runs, config = self.runs, self.config
@@ -349,7 +332,8 @@ def train_lockstep(
     result has the bits `train` gives its config alone. A run that diverges
     stops; one whose ladder grows by a spawn leaves the stack and goes on
     alone. `sampler` must also take a list of R generators and return an
-    (R, n, num_visible) stack, as `dataset.BatchSampler` does.
+    (R, n, num_visible) stack, as `dataset.BatchSampler` does. Returns the
+    runs it stepped, in the order of `configs`.
     """
     if eval_data is not None and not isinstance(eval_data, rbm.DistinctRows):
         raise TypeError(
@@ -362,7 +346,7 @@ def train_lockstep(
     if any(dataclasses.replace(config, seed=0) != shared for config in configs):
         raise ValueError("lockstep runs must differ only in their seed")
     num_visible = sampler.num_visible
-    runs = [_Run.start(config, num_visible) for config in configs]
+    runs = [TrainResult.start(config, num_visible) for config in configs]
     for run in runs:
         run.emit(0, eval_data)
     groups = [_Lockstep(runs)]
@@ -372,10 +356,10 @@ def train_lockstep(
             groups = [new for group, gone in zip(groups, leaving) for new in _regroup(group, gone)]
             if not groups:
                 break
-    return [run.result() for run in runs]
+    return runs
 
 
-def _regroup(group: _Lockstep, leaving: list[_Run]) -> list[_Lockstep]:
+def _regroup(group: _Lockstep, leaving: list[TrainResult]) -> list[_Lockstep]:
     """The groups that carry on `group`'s runs once `leaving` have left it:
     a grown ladder goes on alone, a diverged run is done."""
     if not leaving:

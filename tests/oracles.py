@@ -17,7 +17,7 @@ from scipy.special import expit, logsumexp
 
 from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP
 from rbmpt.rbm import RbmParams
-from rbmpt.tempering import SWAP_RATE_EMA_DECAY, Label, deo_sweep
+from rbmpt.tempering import DOWN, SWAP_RATE_EMA_DECAY, UP, deo_sweep
 
 
 def enumerate_bits(n: int) -> np.ndarray:
@@ -239,11 +239,11 @@ def deo_sweep_outcome(ensemble, params: RbmParams, gibbs_steps: int, rng):
     return pairs, accepts, trip
 
 
-def reference_update_flow_histograms(n_up, n_down, labels, tau_hat: float):
-    """EMA step of the flow histograms at rate 1/tau_hat, with masked adds."""
+def reference_update_flow_histograms(flow, labels, tau_hat: float):
+    """EMA step of the (2, M) flow histograms, up row then down row, at rate
+    1/tau_hat, with masked adds."""
     rate = 1.0 / tau_hat
-    n_up = n_up * (1.0 - rate)
-    n_down = n_down * (1.0 - rate)
-    n_up[labels == Label.UP] += rate
-    n_down[labels == Label.DOWN] += rate
-    return n_up, n_down
+    flow = flow * (1.0 - rate)
+    flow[0, labels == UP] += rate
+    flow[1, labels == DOWN] += rate
+    return flow

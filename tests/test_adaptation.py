@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rbmpt import adaptation, rbm, tempering
 from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP, AdaptationConfig
-from rbmpt.tempering import Ensemble, Label
+from rbmpt.tempering import UNSET, Ensemble
 
 from oracles import (
     random_params,
@@ -91,8 +91,8 @@ class TestOptimalBetas:
 class TestAdaptBetas:
     def setup_method(self):
         self.ens = make_ensemble([1.0, 0.5, 0.0])
-        self.ens.n_up[1] = 0.25
-        self.ens.n_down[1] = 0.75  # measured f_up = [1, 0.25, 0]
+        self.ens.flow[0, 1] = 0.25
+        self.ens.flow[1, 1] = 0.75  # measured f_up = [1, 0.25, 0]
 
     def test_zero_rate_is_identity(self):
         before = self.ens.betas.copy()
@@ -112,8 +112,8 @@ class TestAdaptBetas:
         ens = make_ensemble([1.0, 0.7, 0.4, 0.2, 0.0])
         cfg = AdaptationConfig(beta_learning_rate=0.5)
         for _ in range(50):
-            ens.n_up[1:-1] = rng.uniform(0.0, 1.0, 3)
-            ens.n_down[1:-1] = rng.uniform(0.0, 1.0, 3)
+            ens.flow[0, 1:-1] = rng.uniform(0.0, 1.0, 3)
+            ens.flow[1, 1:-1] = rng.uniform(0.0, 1.0, 3)
             adaptation.adapt_betas(ens, cfg)
             assert ens.betas[0] == 1.0 and ens.betas[-1] == 0.0
             assert (np.diff(ens.betas) <= -adaptation.MIN_BETA_GAP + 1e-15).all()
@@ -121,8 +121,8 @@ class TestAdaptBetas:
 
 def set_fup(ens, fup):
     """Set the flow histograms so that the ensemble measures f_up ~ fup."""
-    ens.n_up[:] = fup
-    ens.n_down[:] = 1.0 - fup
+    ens.flow[0] = fup
+    ens.flow[1] = 1.0 - fup
 
 
 class TestMatchesReference:
@@ -151,7 +151,7 @@ class TestMatchesReference:
             for mu in (0.0, 1e-4, 0.5, 1.0):
                 ens = make_ensemble(betas)
                 set_fup(ens, fup)
-                frac = tempering.f_up(ens)
+                frac = np.array(tempering.f_up(ens))
                 want = reference_adapt_betas(betas, frac, mu)
                 adaptation.adapt_betas(ens, AdaptationConfig(beta_learning_rate=mu))
                 assert same_bits(ens.betas, want)
@@ -214,8 +214,8 @@ class TestAverageSwapRate:
 class TestMaybeSpawn:
     def low_rate_ensemble(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
-        ens.n_up[1] = 0.9
-        ens.n_down[1] = 0.1  # f_up = [1, 0.9, 0]
+        ens.flow[0, 1] = 0.9
+        ens.flow[1, 1] = 0.1  # f_up = [1, 0.9, 0]
         ens.swap_rate_ema[:] = [0.1, 0.1]
         return ens
 
@@ -239,7 +239,7 @@ class TestMaybeSpawn:
         assert ens.betas == pytest.approx([1.0, 0.5, 0.25, 0.0])
         assert (np.diff(ens.betas) < 0).all()
         assert ens.visible[2] == pytest.approx(cold_state)
-        assert ens.labels[2] == Label.UNSET and ens.counters[2] == 0
+        assert ens.labels[2] == UNSET and ens.counters[2] == 0
         assert ens.burn_in_remaining == AdaptationConfig().burn_in_sweeps
 
     def test_suspended_during_burn_in(self):
@@ -259,8 +259,8 @@ class TestMaybeSpawn:
 
 class TestSpawnedLadder:
     def test_bookkeeping_matches_reference_after_spawns(self):
-        # spawns rebuild the flow buffer; n_up and n_down must stay its rows
-        # and the updates must keep the reference bits on the grown ladder
+        # spawns rebuild the flow buffer, one column per slot, and the
+        # updates must keep the reference bits on the grown ladder
         rng = np.random.default_rng(70)
         params = random_params(rng, 4, 3)
         ens = make_ensemble(np.linspace(1.0, 0.0, 3), seed=71, nv=4, nh=3)
@@ -270,19 +270,16 @@ class TestSpawnedLadder:
         spawns = 0
         for update in range(1, 401):
             tempering.deo_sweep(ens, params, 1, rng)
-            want_up, want_down = reference_update_flow_histograms(
-                ens.n_up, ens.n_down, ens.labels, ens.tau_hat
-            )
+            want_flow = reference_update_flow_histograms(ens.flow, ens.labels, ens.tau_hat)
             tempering.update_flow_histograms(ens)
-            assert same_bits(ens.n_up, want_up) and same_bits(ens.n_down, want_down)
+            assert same_bits(ens.flow, want_flow)
             if ens.burn_in_remaining == 0:
-                want = reference_adapt_betas(ens.betas, tempering.f_up(ens), 0.05)
+                want = reference_adapt_betas(ens.betas, np.array(tempering.f_up(ens)), 0.05)
                 adaptation.adapt_betas(ens, config)
                 assert same_bits(ens.betas, want)
                 if update % 10 == 0:
                     spawns += adaptation.maybe_spawn(ens, config, update) is not None
-                    assert ens.n_up.base is ens.flow and ens.n_down.base is ens.flow
-                    assert same_bits(np.stack([ens.n_up, ens.n_down]), ens.flow)
+                    assert ens.flow.shape == (2, ens.num_chains)
         assert spawns >= 2 and ens.num_chains == 3 + spawns
 
 
@@ -298,8 +295,8 @@ def spawn_cases(draw):
         betas = np.concatenate([[1.0], 1.0 - np.cumsum(gaps)[:-1] / gaps.sum(), [0.0]])
     ens = make_ensemble(betas, seed=draw(st.integers(0, 2**32 - 1)))
     unit = st.floats(0.0, 1.0)
-    ens.n_up[:] = draw(st.lists(unit, min_size=m, max_size=m))
-    ens.n_down[:] = draw(st.lists(unit, min_size=m, max_size=m))
+    ens.flow[0] = draw(st.lists(unit, min_size=m, max_size=m))
+    ens.flow[1] = draw(st.lists(unit, min_size=m, max_size=m))
     ens.swap_rate_ema[:] = draw(st.lists(unit, min_size=m - 1, max_size=m - 1))
     ens.burn_in_remaining = draw(st.sampled_from([0, 0, 0, 1, 50]))
     config = AdaptationConfig(
@@ -325,7 +322,7 @@ class TestMaybeSpawnProperties:
             assert (np.diff(ens.betas) < 0).all()
         assert m - m_before == (event is not None)
         for per_slot in (ens.betas, ens.visible, ens.hidden, ens.labels, ens.counters,
-                         ens.n_up, ens.n_down):
+                         *ens.flow):
             assert len(per_slot) == m
         assert len(ens.swap_rate_ema) == m - 1
         if event is not None:

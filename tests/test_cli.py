@@ -52,13 +52,13 @@ def exit_code(argv):
         return exc.code
 
 
-def write_plan(path, dataset=None, config=None, seeds=(0,)):
+def write_plan(path, dataset=None, config=None, seeds=(0,), label="planned"):
     """A one-run plan file: sml, 6 updates, 5 hidden units, 3x3 images."""
     record = {
         "dataset": {"image_side": 3, "eval_size": 10, **(dataset or {})},
         "runs": [
             {
-                "label": "planned",
+                "label": label,
                 "seeds": list(seeds),
                 "config": {
                     "algorithm": "sml",
@@ -259,6 +259,20 @@ class TestExitCodes:
         monkeypatch.setattr(experiment, "train_lockstep", fail)
         assert run_cli(tiny_train_args(tmp_path)) == cli.RUNTIME_ERROR
 
+    def test_failed_rewrite_keeps_the_old_artifacts(self, tmp_path, monkeypatch):
+        # a rerun whose JSON writes die part-way leaves the first run's
+        # sidecar and manifest byte for byte, and no temp file
+        assert run_cli(tiny_train_args(tmp_path)) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def interrupted(record, fh, **kwargs):
+            fh.write(json.dumps(record, **kwargs)[:40])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", interrupted)
+        assert run_cli(tiny_train_args(tmp_path)) == cli.RUNTIME_ERROR
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_console_entry_point(self, tmp_path):
         # the child imports the package copy this test imported
         package_root = os.path.dirname(os.path.dirname(cli.__file__))
@@ -435,6 +449,20 @@ BAD_SETTINGS = {
     "plan without runs": lambda d: (
         ["grid", "--plan", write_config(d / "p.json", json.dumps({"runs": []})),
          "--out", str(d / "out")],
+        d / "out",
+    ),
+    "label with a slash": lambda d: (tiny_train_args(d / "out", ("--label", "a/b")), d / "out"),
+    "empty label": lambda d: (tiny_train_args(d / "out", ("--label", "")), d / "out"),
+    "label with a slash in file": lambda d: (
+        tiny_train_args(d / "out", ("--config", write_config(d / "c.cfg", "label = a/b\n"))),
+        d / "out",
+    ),
+    "plan label with a slash": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", label="a/b"), "--out", str(d / "out")],
+        d / "out",
+    ),
+    "empty plan label": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", label=""), "--out", str(d / "out")],
         d / "out",
     ),
     "fractional plan count": lambda d: (

@@ -174,6 +174,19 @@ def test_lockstep_seed_matches_seed_alone(case, tmp_path):
         assert None in diverged and len(set(diverged)) > 2
 
 
+@pytest.mark.parametrize("case", ["sml-apt", "diverging"])
+def test_lockstep_returns_each_run_with_its_own_cost(case):
+    # runs that leave the stack (a spawn, a divergence) stop sharing its
+    # cost; each run's last row reports the cost it carries
+    configs = [dataclasses.replace(LOCKSTEP_CASES[case], seed=seed) for seed in LOCKSTEP_SEEDS]
+    runs = training.train_lockstep(configs, toy_sampler())
+    assert [run.config.seed for run in runs] == list(LOCKSTEP_SEEDS)
+    for run in runs:
+        modeled = run.work_units * training.MODELED_SECONDS_PER_UNIT
+        assert modeled == run.metrics[-1].wall_clock_seconds
+    assert len({run.work_units for run in runs}) > 1
+
+
 def test_lockstep_rejects_configs_that_differ_beyond_the_seed():
     configs = [toy_config(seed=1), toy_config(seed=2, learning_rate=0.5)]
     with pytest.raises(ValueError):

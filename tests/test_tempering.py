@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbmpt import rbm, tempering
-from rbmpt.tempering import Ensemble, Label
+from rbmpt.tempering import DOWN, UNSET, UP, Ensemble
 
 from oracles import (
     brute_joint_distribution,
@@ -101,23 +101,23 @@ class TestEnsembleInvariants:
 
     def test_fresh_state(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
-        assert (ens.labels == Label.UNSET).all()
+        assert (ens.labels == UNSET).all()
         assert not ens.counters.any()
         assert ens.tau_hat == 1.0
         assert ens.swap_rate_ema == pytest.approx([1.0, 1.0])
 
     def test_insert_chain(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
-        ens.n_up[:] = [1.0, 0.4, 0.0]
-        ens.n_down[:] = [0.0, 0.6, 1.0]
+        ens.flow[0] = [1.0, 0.4, 0.0]
+        ens.flow[1] = [0.0, 0.6, 1.0]
         ens.swap_rate_ema[:] = [0.8, 0.2]
         old_cold_state = ens.visible[2].copy()
         ens.insert_chain(2, 0.25, source_slot=2)
         assert ens.betas == pytest.approx([1.0, 0.5, 0.25, 0.0])
         assert ens.visible[2] == pytest.approx(old_cold_state)
-        assert ens.labels[2] == Label.UNSET and ens.counters[2] == 0
-        assert ens.n_up[2] == pytest.approx(0.2)
-        assert ens.n_down[2] == pytest.approx(0.8)
+        assert ens.labels[2] == UNSET and ens.counters[2] == 0
+        assert ens.flow[0, 2] == pytest.approx(0.2)
+        assert ens.flow[1, 2] == pytest.approx(0.8)
         assert ens.swap_rate_ema == pytest.approx([0.8, 0.2, 0.2])
 
 
@@ -278,10 +278,10 @@ class TestDeoSweepProperties:
             assert np.isin(ens.visible, (0.0, 1.0)).all()
             assert np.isin(ens.hidden, (0.0, 1.0)).all()
             assert ens.visible.shape == (m, nv) and ens.hidden.shape == (m, nh)
-            assert np.isin(ens.labels, (Label.UNSET, Label.UP, Label.DOWN)).all()
+            assert np.isin(ens.labels, (UNSET, UP, DOWN)).all()
             if m >= 2:
-                assert ens.labels[0] == Label.UP
-                assert ens.labels[-1] != Label.UP
+                assert ens.labels[0] == UP
+                assert ens.labels[-1] != UP
             assert (ens.counters >= 0).all()
             assert ((ens.swap_rate_ema >= 0.0) & (ens.swap_rate_ema <= 1.0)).all()
             assert ens.tau_hat >= 1.0
@@ -308,8 +308,8 @@ class TestLabelsAndReturnTime:
     def test_first_sweep_labels(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
         tempering.deo_sweep(ens, zero_params(), 1, np.random.default_rng(16))
-        assert ens.labels[0] == Label.UP
-        assert Label.DOWN not in ens.labels  # nothing has been up and back yet
+        assert ens.labels[0] == UP
+        assert DOWN not in ens.labels  # nothing has been up and back yet
 
     def test_counter_reset_only_on_completion(self):
         ens = make_ensemble([1.0, 0.0])
@@ -341,39 +341,39 @@ class TestFlowHistograms:
     def test_up_slot_moves_toward_one(self):
         ens = make_ensemble([1.0, 0.0])
         ens.tau_hat = 10.0
-        ens.labels[0] = Label.UP
+        ens.labels[0] = UP
         tempering.update_flow_histograms(ens)
-        assert ens.n_up[0] == pytest.approx(0.1)
-        assert ens.n_down[0] == 0.0
+        assert ens.flow[0, 0] == pytest.approx(0.1)
+        assert ens.flow[1, 0] == 0.0
 
     def test_saturated_slot_is_fixed_point(self):
         ens = make_ensemble([1.0, 0.0])
         ens.tau_hat = 7.0
-        ens.labels[0] = Label.UP
-        ens.n_up[0] = 1.0
+        ens.labels[0] = UP
+        ens.flow[0, 0] = 1.0
         tempering.update_flow_histograms(ens)
-        assert ens.n_up[0] == pytest.approx(1.0)
+        assert ens.flow[0, 0] == pytest.approx(1.0)
 
     def test_unset_slots_decay(self):
         ens = make_ensemble([1.0, 0.0])
         ens.tau_hat = 2.0
-        ens.n_up[:] = 0.8
-        ens.n_down[:] = 0.4
+        ens.flow[0] = 0.8
+        ens.flow[1] = 0.4
         tempering.update_flow_histograms(ens)
-        assert ens.n_up == pytest.approx([0.4, 0.4])
-        assert ens.n_down == pytest.approx([0.2, 0.2])
+        assert ens.flow[0] == pytest.approx([0.4, 0.4])
+        assert ens.flow[1] == pytest.approx([0.2, 0.2])
 
     def test_alternating_labels_average_half(self):
         # tau = 2: the limit cycle is {2/3 after up, 1/3 after down}, mean 1/2
         ens = make_ensemble([1.0, 0.0])
         ens.tau_hat = 2.0
         for _ in range(100):
-            ens.labels[0] = Label.UP
+            ens.labels[0] = UP
             tempering.update_flow_histograms(ens)
-            after_up = ens.n_up[0]
-            ens.labels[0] = Label.DOWN
+            after_up = ens.flow[0, 0]
+            ens.labels[0] = DOWN
             tempering.update_flow_histograms(ens)
-            after_down = ens.n_up[0]
+            after_down = ens.flow[0, 0]
         assert after_up == pytest.approx(2 / 3, abs=1e-9)
         assert after_down == pytest.approx(1 / 3, abs=1e-9)
         assert 0.5 * (after_up + after_down) == pytest.approx(0.5, abs=1e-9)
@@ -387,12 +387,9 @@ class TestFlowHistograms:
         ens = make_ensemble(np.linspace(1.0, 0.0, m), nv=4, nh=3, seed=64)
         for _ in range(300):
             tempering.deo_sweep(ens, params, 1, rng)
-            want_up, want_down = reference_update_flow_histograms(
-                ens.n_up, ens.n_down, ens.labels, ens.tau_hat
-            )
+            want = reference_update_flow_histograms(ens.flow, ens.labels, ens.tau_hat)
             tempering.update_flow_histograms(ens)
-            assert same_bits(ens.n_up, want_up)
-            assert same_bits(ens.n_down, want_down)
+            assert same_bits(ens.flow, want)
 
 
 class TestFUp:
@@ -405,13 +402,13 @@ class TestFUp:
 
     def test_equal_histograms_give_half(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
-        ens.n_up[1] = ens.n_down[1] = 0.3
+        ens.flow[0, 1] = ens.flow[1, 1] = 0.3
         assert tempering.f_up(ens)[1] == 0.5
 
     def test_direct_ratio(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
-        ens.n_up[:] = [1.0, 0.3, 0.0]
-        ens.n_down[:] = [0.0, 0.1, 1.0]
+        ens.flow[0] = [1.0, 0.3, 0.0]
+        ens.flow[1] = [0.0, 0.1, 1.0]
         assert tempering.f_up(ens)[1] == pytest.approx(0.75)
 
     def test_empty_interior_is_neutral(self):
@@ -429,6 +426,6 @@ class TestFUp:
         for _ in range(200):
             tempering.deo_sweep(ens, params, 1, rng)
             tempering.update_flow_histograms(ens)
-        assert ens.n_up[0] > 0
-        assert ens.n_down[-1] > 0
-        assert (ens.n_up >= 0).all() and (ens.n_down >= 0).all()
+        assert ens.flow[0, 0] > 0
+        assert ens.flow[1, -1] > 0
+        assert (ens.flow >= 0).all()
