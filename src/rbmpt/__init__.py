@@ -21,7 +21,6 @@ from .tempering import (
     Ensemble,
     EnsembleStack,
     deo_sweep,
-    estimate_return_time,
     f_up,
     swap_ratio,
     update_flow_histograms,

@@ -121,19 +121,28 @@ def init_params(num_visible: int, num_hidden: int, rng: np.random.Generator) -> 
     return RbmParams(weights, np.zeros(num_hidden), np.zeros(num_visible))
 
 
-def energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-    """Joint energies of a batch of states; visible (m, nv), hidden (m, nh)."""
+def energies(
+    params: RbmParams, visible: np.ndarray, hidden: np.ndarray, product=None
+) -> np.ndarray:
+    """Joint energies of a batch of states; visible (m, nv), hidden (m, nh),
+    and `hidden @ params.weights` if the caller has it (the Gibbs kernel's)."""
     # one BLAS product, then a row-wise dot: a three-operand einsum would
     # run numpy's unblocked loop instead
-    interaction = np.vecdot(hidden @ params.weights, visible)
+    if product is None:
+        product = hidden @ params.weights
+    interaction = np.vecdot(product, visible)
     return -(interaction + hidden @ params.hidden_bias + visible @ params.visible_bias)
 
 
-def stacked_energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+def stacked_energies(
+    params: RbmParams, visible: np.ndarray, hidden: np.ndarray, product=None
+) -> np.ndarray:
     """`energies` of R replicas in one call: stacked params, visible
     (R, m, nv) and hidden (R, m, nh) give (R, m), row r with the bits of
     `energies` on replica r."""
-    interaction = np.vecdot(hidden @ params.weights, visible)
+    if product is None:
+        product = hidden @ params.weights
+    interaction = np.vecdot(product, visible)
     # a (m, n) @ (n, 1) product per slice is the 2-D matrix-vector product
     hidden_term = (hidden @ params.hidden_bias.mT)[..., 0]
     visible_term = (visible @ params.visible_bias.mT)[..., 0]
@@ -176,21 +185,23 @@ def gibbs_sweep_chains(
     hidden: np.ndarray,
     betas: np.ndarray,
     steps: int,
-    rng,
-) -> tuple[np.ndarray, np.ndarray]:
+    uniforms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Advance m chains by `steps` Gibbs alternations, chain i at betas[i]:
     h ~ p_beta(h | v) = logistic(beta (b + W v)), then v ~ p_beta(v | h) =
     logistic(beta (c + W' h)).
 
-    Draw order is hidden then visible, one uniform block per phase, and
-    each unit is 1 when its uniform falls below its probability. Each phase
-    works in place on its pre-activation and uniform buffers; the input
-    arrays are not modified.
+    `uniforms` holds the draws, at least steps * m * (nh + nv): per step
+    an (m, nh) block for the hidden phase, then an (m, nv) block for the
+    visible phase. Each unit is 1 when its uniform falls below its
+    probability; that 0/1 value overwrites the uniform, so the states
+    returned are views of `uniforms`. Also returned, for `energies`, is the
+    last `hidden @ weights` of a visible phase below `_VECTOR_LOGISTIC_MIN`
+    entries per replica, else None (and for 0 steps).
 
     A stack of R replicas runs in the same calls: stacked params, visible
-    (R, m, nv), hidden (R, m, nh), betas (R, m), and `rng` a list of R
-    generators, replica r drawing its blocks from rng[r]. Every replica
-    gets the bits its own 2-D call would give.
+    (R, m, nv), hidden (R, m, nh), betas (R, m) and uniforms (R, n), row
+    r replica r's. Every replica gets the bits its own 2-D call would give.
 
     A phase with fewer than `_VECTOR_LOGISTIC_MIN` entries per replica takes
     its probabilities from expit, so its draws are those of the reference
@@ -199,31 +210,45 @@ def gibbs_sweep_chains(
     draws leave this function, and a draw changes only when its uniform
     falls inside that band, which has probability at most 2^-52 per draw.
     """
+    if steps < 0:
+        raise ValueError(f"gibbs_steps must be 0 or more, got {steps}")
     b = betas[..., None]
     weights = params.weights
     weights_t = weights.mT
     hidden_bias = params.hidden_bias
     visible_bias = params.visible_bias
-    random = rng.random if type(rng) is not list else stacked_random(rng)
     m = visible.shape[-2]
     nh, nv = weights.shape[-2:]
+    hidden_shape = (*uniforms.shape[:-1], m, nh)
+    visible_shape = (*uniforms.shape[:-1], m, nv)
     # chosen per replica, so a replica's bits do not depend on the stack size
     hidden_logistic = _logistic_for(m * nh)
     visible_logistic = _logistic_for(m * nv)
+    # the product is kept only for a phase small enough for expit: at 50 x 784
+    # a third phase-sized buffer cost more per update than recomputing it
+    keep = visible_logistic is expit
+    product = None
+    start = 0
     for _ in range(steps):
         ph = visible @ weights_t
         ph += hidden_bias
         ph *= b
         hidden_logistic(ph, out=ph)
-        hidden = random((m, nh))
+        stop = start + m * nh
+        hidden = uniforms[..., start:stop].reshape(hidden_shape)
         np.less(hidden, ph, out=hidden)
         pv = hidden @ weights
-        pv += visible_bias
+        if keep:
+            product, pv = pv, pv + visible_bias
+        else:
+            pv += visible_bias
         pv *= b
         visible_logistic(pv, out=pv)
-        visible = random((m, nv))
+        start, stop = stop, stop + m * nv
+        visible = uniforms[..., start:stop].reshape(visible_shape)
         np.less(visible, pv, out=visible)
-    return visible, hidden
+        start = stop
+    return visible, hidden, product
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:

@@ -186,6 +186,12 @@ def deo_sweep(
     particle's counter and folds into the return-time estimate, and any
     post-spawn burn-in countdown ticks down.
 
+    The sweep draws all its uniforms in one `rng.random` call: the Gibbs
+    steps' blocks, then one per proposed pair, the doubles that drawing
+    them phase by phase would give. The swap energies reuse the Gibbs
+    kernel's last `hidden @ weights` when it keeps one, which is the
+    product they would compute.
+
     An `EnsembleStack` sweeps all its members in one Gibbs call and one
     `rbm.stacked_energies` call, with stacked `params` (`RbmParams.view` of
     an (R, P) buffer) and `rng` a list of one generator per member. Each
@@ -194,15 +200,21 @@ def deo_sweep(
     The lone sweep keeps its own body: one body with per-member gathers gave
     the same bits but made the lone sweep about 15% slower.
     """
+    if gibbs_steps < 0:
+        raise ValueError(f"gibbs_steps must be 0 or more, got {gibbs_steps}")
     if isinstance(ensemble, EnsembleStack):
         _deo_sweep_stack(ensemble, params, gibbs_steps, rng)
         return
-    visible, hidden = rbm.gibbs_sweep_chains(
-        params, ensemble.visible, ensemble.hidden, ensemble.betas, gibbs_steps, rng
-    )
     m = ensemble.betas.shape[0]
-    if ensemble.sweep_parity < m - 1:
-        order = _swap_round(ensemble, rbm.energies(params, visible, hidden).tolist(), rng)
+    pairs = (m - ensemble.sweep_parity) // 2
+    gibbs_draws = gibbs_steps * m * sum(params.weights.shape[-2:])
+    uniforms = rng.random(gibbs_draws + pairs)
+    visible, hidden, product = rbm.gibbs_sweep_chains(
+        params, ensemble.visible, ensemble.hidden, ensemble.betas, gibbs_steps, uniforms
+    )
+    if pairs:
+        e = rbm.energies(params, visible, hidden, product).tolist()
+        order = _swap_round(ensemble, e, uniforms[gibbs_draws:].tolist())
         if order is not None:
             # an accepted pair trades rows: one gather per particle array
             order = np.array(order)
@@ -220,14 +232,18 @@ def _deo_sweep_stack(
     stack: EnsembleStack, params: rbm.RbmParams, gibbs_steps: int, rngs: list
 ) -> None:
     members = stack.ensembles
-    visible, hidden = rbm.gibbs_sweep_chains(
-        params, stack.visible, stack.hidden, stack.betas, gibbs_steps, rngs
-    )
     m = stack.num_chains
     # members step together, so they share the sweep parity
-    if members[0].sweep_parity < m - 1:
-        e = rbm.stacked_energies(params, visible, hidden).tolist()
-        orders = [_swap_round(ens, row, rng) for ens, row, rng in zip(members, e, rngs)]
+    pairs = (m - members[0].sweep_parity) // 2
+    gibbs_draws = gibbs_steps * m * sum(params.weights.shape[-2:])
+    uniforms = rbm.stacked_random(rngs)((gibbs_draws + pairs,))
+    visible, hidden, product = rbm.gibbs_sweep_chains(
+        params, stack.visible, stack.hidden, stack.betas, gibbs_steps, uniforms
+    )
+    if pairs:
+        e = rbm.stacked_energies(params, visible, hidden, product).tolist()
+        swap_uniforms = uniforms[:, gibbs_draws:].tolist()
+        orders = [_swap_round(ens, row, u) for ens, row, u in zip(members, e, swap_uniforms)]
         if orders.count(None) < len(orders):
             # one gather per stacked array, replica r's rows at offset r * m
             rows = []
@@ -246,27 +262,20 @@ def _deo_sweep_stack(
         _end_sweep(ens)
 
 
-def _swap_round(ensemble: Ensemble, e: list[float], rng) -> list[int] | None:
+def _swap_round(ensemble: Ensemble, e: list[float], uniforms: list[float]) -> list[int] | None:
     """Propose the pairs of the current parity on particle energies `e`,
-    one uniform each from `rng`, and update their swap-rate estimates.
-    Returns the slot each new occupant comes from, or None when no pair
-    swapped."""
+    one of `uniforms` each, and update their swap-rate estimates. Returns
+    the slot each new occupant comes from, or None when no pair swapped."""
     m = len(e)
-    lo = range(ensemble.sweep_parity, m - 1, 2)
     b = ensemble.betas.tolist()
-    accepted = [
-        u < swap_ratio(e[i], e[i + 1], b[i], b[i + 1])
-        for i, u in zip(lo, rng.random(len(lo)).tolist())
-    ]
-    rates = ensemble.swap_rate_ema.tolist()
-    for i, swap in zip(lo, accepted):
-        rates[i] = rates[i] * SWAP_RATE_EMA_DECAY + (_SWAP_RATE_GAIN if swap else 0.0)
-    ensemble.swap_rate_ema[:] = rates
-    if not any(accepted):
-        return None
-    order = list(range(m))
-    for i, swap in zip(lo, accepted):
+    rates = ensemble.swap_rate_ema
+    order = None
+    for i, u in zip(range(ensemble.sweep_parity, m - 1, 2), uniforms):
+        swap = u < swap_ratio(e[i], e[i + 1], b[i], b[i + 1])
+        rates[i] = rates.item(i) * SWAP_RATE_EMA_DECAY + (_SWAP_RATE_GAIN if swap else 0.0)
         if swap:
+            if order is None:
+                order = list(range(m))
             order[i], order[i + 1] = i + 1, i
     return order
 
@@ -274,7 +283,12 @@ def _swap_round(ensemble: Ensemble, e: list[float], rng) -> list[int] | None:
 def _end_sweep(ensemble: Ensemble) -> None:
     """Flip the parity, refresh the boundary labels of particles whose
     counters have just aged, fold a completed round trip into the return
-    time and tick the burn-in."""
+    time, update the return-time estimate and tick the burn-in.
+
+    The estimate `tau_hat`, floored at 1, is the EMA over completed
+    round-trip durations once any exist; before the first completion, the
+    sum of all particle counters (a lower bound).
+    """
     ensemble.sweep_parity ^= 1
     m = ensemble.betas.shape[0]
     if m >= 2:
@@ -296,24 +310,14 @@ def _end_sweep(ensemble: Ensemble) -> None:
         if labels[m - 1] == UP:
             labels[m - 1] = DOWN
 
-    estimate_return_time(ensemble)
-    if ensemble.burn_in_remaining > 0:
-        ensemble.burn_in_remaining -= 1
-
-
-def estimate_return_time(ensemble: Ensemble) -> float:
-    """Current return-time estimate tau_hat, floored at 1.
-
-    The EMA over completed round-trip durations once any exist; before the
-    first completion, the sum of all particle counters (a lower bound).
-    """
     if ensemble.round_trip_ema is not None:
         tau = ensemble.round_trip_ema
     else:
         # a sum of a few ints is cheaper in Python than one numpy call
         tau = float(sum(ensemble.counters.tolist()))
     ensemble.tau_hat = max(1.0, tau)
-    return ensemble.tau_hat
+    if ensemble.burn_in_remaining > 0:
+        ensemble.burn_in_remaining -= 1
 
 
 def update_flow_histograms(ensemble: Ensemble | EnsembleStack) -> None:

@@ -277,7 +277,9 @@ class _Lockstep:
         deo_sweep(self.ensembles, self.params, gibbs_steps, self.rngs)
         m = self.ensembles.num_chains
         # modeled cost: the sweep, the swap-phase energies and the gradient
-        # step; whole numbers below 2^53, so the float sums are exact
+        # step; whole numbers below 2^53, so the float sums are exact. The
+        # energies may reuse the sweep's last product but are still charged
+        # for it, so the modeled times are those of a sweep that recomputes it.
         work = gibbs_steps * m * 2 * self.weight_size
         if m > 1:
             work += m * self.weight_size

@@ -5,9 +5,10 @@ the energy definition E(v, h) = -(h' W v + b' h + c' v); none of it reuses
 the library's marginalization shortcuts, so agreement is meaningful.
 
 The `reference_*` functions are plain out-of-place formulas for the
-library's hot-path kernels: the two samplers consume the generator the same
-way as the library's batched draws, and the update rules use numpy scalars
-and masked adds. The library must reproduce their output bit for bit.
+library's hot-path kernels: the samplers draw from the generator block by
+block, phase by phase, which the library's one-block draws must match, and
+the update rules use numpy scalars and masked adds. The library must
+reproduce their output bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +17,16 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP
-from rbmpt.rbm import RbmParams
-from rbmpt.tempering import DOWN, SWAP_RATE_EMA_DECAY, UP, deo_sweep
+from rbmpt import tempering
+from rbmpt.rbm import RbmParams, energies
+from rbmpt.tempering import (
+    DOWN,
+    RETURN_TIME_EMA_DECAY,
+    SWAP_RATE_EMA_DECAY,
+    UNSET,
+    UP,
+    deo_sweep,
+)
 
 
 def enumerate_bits(n: int) -> np.ndarray:
@@ -155,6 +164,56 @@ def reference_gibbs_sweep(
         pv = expit(b * (hidden @ params.weights + params.visible_bias))
         visible = (rng.random(pv.shape) < pv).astype(np.float64)
     return visible, hidden
+
+
+def reference_deo_sweep(ensemble, params: RbmParams, gibbs_steps: int, rng):
+    """One DEO sweep of a lone `ensemble`, drawn phase by phase:
+    `reference_gibbs_sweep`, then one `rng.random` call with one uniform per
+    proposed pair, decided by `swap_ratio` on energies from a fresh
+    `hidden @ weights` product. The bookkeeping is written out step by step
+    on new arrays, which replace the ensemble's."""
+    betas = ensemble.betas.tolist()
+    m = len(betas)
+    visible, hidden = reference_gibbs_sweep(
+        params, ensemble.visible, ensemble.hidden, ensemble.betas, gibbs_steps, rng
+    )
+    visible, hidden = visible.copy(), hidden.copy()
+    labels, counters = ensemble.labels.copy(), ensemble.counters.copy()
+    rates = ensemble.swap_rate_ema.copy()
+    pairs = range(ensemble.sweep_parity, m - 1, 2)
+    if len(pairs):
+        e = energies(params, visible, hidden).tolist()
+        for i, u in zip(pairs, rng.random(len(pairs)).tolist()):
+            accept = u < tempering.swap_ratio(e[i], e[i + 1], betas[i], betas[i + 1])
+            gain = 1.0 - SWAP_RATE_EMA_DECAY if accept else 0.0
+            rates[i] = rates[i] * SWAP_RATE_EMA_DECAY + gain
+            if accept:
+                for a in (visible, hidden, labels, counters):
+                    a[[i, i + 1]] = a[[i + 1, i]]
+    if m > 1:
+        counters = counters + 1
+        if labels[0] == DOWN:
+            trip = int(counters[0])
+            counters[0] = 0
+            labels[0] = UP
+            ensemble.round_trip_ema = (
+                float(trip)
+                if ensemble.round_trip_ema is None
+                else RETURN_TIME_EMA_DECAY * ensemble.round_trip_ema
+                + (1.0 - RETURN_TIME_EMA_DECAY) * trip
+            )
+        elif labels[0] == UNSET:
+            labels[0] = UP
+        if labels[-1] == UP:
+            labels[-1] = DOWN
+    ensemble.visible, ensemble.hidden = visible, hidden
+    ensemble.labels, ensemble.counters, ensemble.swap_rate_ema = labels, counters, rates
+    ensemble.sweep_parity ^= 1
+    if ensemble.round_trip_ema is None:
+        ensemble.tau_hat = max(1.0, float(counters.sum()))
+    else:
+        ensemble.tau_hat = max(1.0, ensemble.round_trip_ema)
+    ensemble.burn_in_remaining = max(ensemble.burn_in_remaining - 1, 0)
 
 
 def same_bits(a, b) -> bool:

@@ -59,18 +59,43 @@ def test_stacked_kernels_match_lone_calls(replicas, shape):
     visible, hidden = binary(rng, (replicas, m, nv)), binary(rng, (replicas, m, nh))
     betas = np.stack([np.linspace(1.0, 0.0, m) if m > 1 else np.ones(1)] * replicas)
 
-    got = rbm.gibbs_sweep_chains(
-        stacked, visible, hidden, betas, 2, [np.random.default_rng(s) for s in range(replicas)]
-    )
+    draws = 2 * m * (nv + nh)
+    uniforms = rbm.stacked_random([np.random.default_rng(s) for s in range(replicas)])((draws,))
+    got = rbm.gibbs_sweep_chains(stacked, visible, hidden, betas, 2, uniforms)
     energies = rbm.stacked_energies(stacked, visible, hidden)
     conditional = rbm.hidden_conditional(stacked, visible)
     for r, params in enumerate(lone):
         want = rbm.gibbs_sweep_chains(
-            params, visible[r], hidden[r], betas[r], 2, np.random.default_rng(r)
+            params, visible[r], hidden[r], betas[r], 2, np.random.default_rng(r).random(draws)
         )
         assert same_bits(got[0][r], want[0]) and same_bits(got[1][r], want[1])
         assert same_bits(energies[r], rbm.energies(params, visible[r], hidden[r]))
         assert same_bits(conditional[r], rbm.hidden_conditional(params, visible[r]))
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize("replicas", [1, 2, 5])
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+def test_kept_product_gives_the_recomputed_energies(replicas, shape, steps):
+    # the swap energies take the Gibbs kernel's last hidden @ weights: they
+    # must be the bits of the energies that compute the product afresh. A
+    # visible phase of the vectorised logistic's size keeps no product.
+    m, nv, nh = shape
+    rng = np.random.default_rng(79)
+    lone, stacked = stack_params(rng, replicas, nv, nh)
+    visible, hidden = binary(rng, (replicas, m, nv)), binary(rng, (replicas, m, nh))
+    betas = np.stack([np.linspace(1.0, 0.0, m) if m > 1 else np.ones(1)] * replicas)
+    uniforms = rng.random((replicas, steps * m * (nv + nh)))
+    v, h, kept = rbm.gibbs_sweep_chains(stacked, visible, hidden, betas, steps, uniforms.copy())
+    assert (kept is None) == (m * nv >= rbm._VECTOR_LOGISTIC_MIN)
+    assert same_bits(
+        rbm.stacked_energies(stacked, v, h, kept), rbm.stacked_energies(stacked, v, h)
+    )
+    for r, params in enumerate(lone):
+        v, h, kept = rbm.gibbs_sweep_chains(
+            params, visible[r], hidden[r], betas[r], steps, uniforms[r]
+        )
+        assert same_bits(rbm.energies(params, v, h, kept), rbm.energies(params, v, h))
 
 
 @pytest.mark.parametrize("replicas", [1, 2, 5])

@@ -31,26 +31,27 @@ def one_state(visible, hidden):
     return np.array([visible], dtype=float), np.array([hidden], dtype=float)
 
 
-class PresetUniforms:
-    """Stands in for the Generator: each `random` call returns the next preset
-    block, so a Gibbs draw shows on which side of its probability a uniform
-    falls (a unit turns on when its uniform is below its probability)."""
-
-    def __init__(self, *blocks):
-        self.blocks = list(blocks)
-
-    def random(self, shape):
-        return np.broadcast_to(self.blocks.pop(0), shape).astype(np.float64)
+def preset_uniforms(m, nh, nv, hidden_u, visible_u):
+    """A one-step uniform block for the Gibbs kernel, every hidden unit's
+    uniform `hidden_u` and every visible unit's `visible_u` (each broadcast
+    to its layer's (m, n)), so a draw shows on which side of its probability
+    a uniform falls (a unit turns on when its uniform is below its
+    probability)."""
+    return np.concatenate(
+        [np.broadcast_to(hidden_u, (m, nh)).ravel(), np.broadcast_to(visible_u, (m, nv)).ravel()]
+    )
 
 
 def hidden_probabilities_within(params, visible, beta, low, high) -> bool:
     """Whether every probability of the Gibbs kernel's hidden phase, from
     the rows of `visible` at `beta`, lies in (low, high]: uniforms at `low`
     must turn every hidden unit on, and uniforms at `high` none."""
-    m = visible.shape[0]
-    hidden, betas = np.zeros((m, params.num_hidden)), np.full(m, beta)
+    m, nh, nv = visible.shape[0], params.num_hidden, params.num_visible
+    hidden, betas = np.zeros((m, nh)), np.full(m, beta)
     on, off = (
-        rbm.gibbs_sweep_chains(params, visible, hidden, betas, 1, PresetUniforms(u, 0.0))[1]
+        rbm.gibbs_sweep_chains(
+            params, visible, hidden, betas, 1, preset_uniforms(m, nh, nv, u, 0.0)
+        )[1]
         for u in (low, high)
     )
     return bool(on.all() and not off.any())
@@ -110,8 +111,8 @@ class TestConditionals:
         # uniform of 1/2 draws 0 and the next float below it draws 1
         below = np.nextafter(0.5, 0.0)
         for u, want in ((0.5, 0.0), (below, 1.0)):
-            visible, hidden = rbm.gibbs_sweep_chains(
-                p, v[None], h[None], np.zeros(1), 1, PresetUniforms(u, u)
+            visible, hidden, _ = rbm.gibbs_sweep_chains(
+                p, v[None], h[None], np.zeros(1), 1, preset_uniforms(1, 2, 4, u, u)
             )
             assert (hidden[0] == want).all()
             assert (visible[0] == want).all()
@@ -135,8 +136,8 @@ class TestConditionals:
         p = rbm.RbmParams(np.array([[2.0]]), np.array([0.0]), np.array([1.0]))
         want = 0.9525741268224334
         for u, v in ((want * (1 - 1e-12), 1.0), (want * (1 + 1e-12), 0.0)):
-            visible, hidden = rbm.gibbs_sweep_chains(
-                p, *one_state([1.0], [0.0]), np.ones(1), 1, PresetUniforms(0.0, u)
+            visible, hidden, _ = rbm.gibbs_sweep_chains(
+                p, *one_state([1.0], [0.0]), np.ones(1), 1, preset_uniforms(1, 1, 1, 0.0, u)
             )
             assert hidden[0, 0] == 1.0 and visible[0, 0] == v
 
@@ -192,20 +193,27 @@ class TestGibbs:
         ids=["4x3", "64x5", "784x10", "64x30"],
     )
     def test_sweep_chains_stream_matches_reference(self, nv, nh, betas, steps):
-        # the batched kernel must draw exactly the expit formula's bits and
-        # leave the generator in the same state
+        # the batched kernel, given one block of the sweep's uniforms, must
+        # draw exactly the bits of the expit formula drawing phase by phase,
+        # and the block must hold as many doubles as the phases draw
         rng = np.random.default_rng(60)
         p = random_params(rng, nv, nh, scale=1.5)
         betas = np.array(betas)
-        visible = (rng.random((len(betas), nv)) < 0.5).astype(float)
-        hidden = (rng.random((len(betas), nh)) < 0.5).astype(float)
+        m = len(betas)
+        visible = (rng.random((m, nv)) < 0.5).astype(float)
+        hidden = (rng.random((m, nh)) < 0.5).astype(float)
         v_in, h_in = visible.copy(), hidden.copy()
         got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
-        got = rbm.gibbs_sweep_chains(p, visible, hidden, betas, steps, got_rng)
+        uniforms = got_rng.random(steps * m * (nh + nv))
+        got = rbm.gibbs_sweep_chains(p, visible, hidden, betas, steps, uniforms)
         want = reference_gibbs_sweep(p, visible, hidden, betas, steps, want_rng)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got[0].dtype == got[1].dtype == np.float64
+        if m * nv < rbm._VECTOR_LOGISTIC_MIN:
+            assert same_bits(got[2], got[1] @ p.weights)
+        else:
+            assert got[2] is None
         assert np.array_equal(visible, v_in) and np.array_equal(hidden, h_in)
         assert got_rng.random() == want_rng.random()
 
@@ -235,7 +243,7 @@ class TestGibbs:
         bits = np.zeros(5)
         n = 20_000
         for _ in range(n):
-            v2, h2 = rbm.gibbs_sweep_chains(p, visible, hidden, np.zeros(1), 1, rng)
+            v2, h2, _ = rbm.gibbs_sweep_chains(p, visible, hidden, np.zeros(1), 1, rng.random(5))
             bits += np.concatenate([v2[0], h2[0]])
         assert np.abs(bits / n - 0.5).max() < 0.02
 
@@ -250,7 +258,7 @@ class TestGibbs:
             h_hits = 0
             v_hits = 0
             for _ in range(n):
-                v2, h2 = rbm.gibbs_sweep_chains(p, *start, np.ones(1), 1, rng)
+                v2, h2, _ = rbm.gibbs_sweep_chains(p, *start, np.ones(1), 1, rng.random(2))
                 h_hits += h2[0, 0] == 1.0
                 v_hits += v2[0, 0] == 1.0
             p_h = 1.0 / (1.0 + np.exp(-k))
@@ -270,7 +278,9 @@ class TestGibbs:
         weights_v = 1 << np.arange(4)
         weights_h = 1 << np.arange(3)
         for _ in range(n):
-            visible, hidden = rbm.gibbs_sweep_chains(p, visible, hidden, beta, 1, rng)
+            visible, hidden, _ = rbm.gibbs_sweep_chains(
+                p, visible, hidden, beta, 1, rng.random(7)
+            )
             idx = int(visible[0] @ weights_v) * 8 + int(hidden[0] @ weights_h)
             counts[idx] += 1
         assert total_variation(counts / n, exact) < 0.01

@@ -12,6 +12,7 @@ from oracles import (
     deo_sweep_outcome,
     enumerate_bits,
     random_params,
+    reference_deo_sweep,
     reference_energy,
     reference_gibbs_sweep,
     reference_update_flow_histograms,
@@ -259,6 +260,87 @@ def sweep_cases(draw):
     return nv, nh, np.array(betas), scale, seed, draw(st.integers(0, 2)), draw(st.integers(1, 30))
 
 
+def sweep_state(ens):
+    """Everything a sweep writes, as (name, value) pairs to compare bit for bit."""
+    arrays = ("visible", "hidden", "labels", "counters", "swap_rate_ema")
+    scalars = (ens.tau_hat, -1.0 if ens.round_trip_ema is None else ens.round_trip_ema)
+    return [(name, getattr(ens, name)) for name in arrays] + [
+        ("tau_hat, round_trip_ema", np.array(scalars)),
+        ("sweep_parity, burn_in_remaining", np.array([ens.sweep_parity, ens.burn_in_remaining])),
+    ]
+
+
+def assert_same_state(got, want):
+    for (name, a), (_, b) in zip(sweep_state(got), sweep_state(want)):
+        assert same_bits(a, b), name
+
+
+class TestDeoSweepDraw:
+    """One uniform block per sweep and swap energies from the kept Gibbs
+    product must leave the state that drawing phase by phase, with energies
+    from a fresh product, leaves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_cases())
+    def test_lone_sweep_matches_per_phase_reference(self, case):
+        nv, nh, betas, scale, seed, steps, sweeps = case
+        params = random_params(np.random.default_rng(seed), nv, nh, scale=scale)
+        got, want = (make_ensemble(betas, nv=nv, nh=nh, seed=seed) for _ in range(2))
+        got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(sweeps):
+            tempering.deo_sweep(got, params, steps, got_rng)
+            reference_deo_sweep(want, params, steps, want_rng)
+            assert_same_state(got, want)
+        assert got_rng.random() == want_rng.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_cases(), st.integers(1, 3))
+    def test_stacked_sweep_matches_per_phase_reference(self, case, replicas):
+        nv, nh, betas, scale, seed, steps, sweeps = case
+        rng = np.random.default_rng(seed)
+        lone = [random_params(rng, nv, nh, scale=scale) for _ in range(replicas)]
+        stacked = rbm.RbmParams.view(np.stack([p.flat for p in lone]), nh, nv)
+        members = [make_ensemble(betas, nv=nv, nh=nh, seed=seed + r) for r in range(replicas)]
+        wants = [make_ensemble(betas, nv=nv, nh=nh, seed=seed + r) for r in range(replicas)]
+        stack = tempering.EnsembleStack(members)
+        got_rngs = [np.random.default_rng(seed + 10 + r) for r in range(replicas)]
+        want_rngs = [np.random.default_rng(seed + 10 + r) for r in range(replicas)]
+        for _ in range(sweeps):
+            tempering.deo_sweep(stack, stacked, steps, got_rngs)
+            for params, want, want_rng in zip(lone, wants, want_rngs):
+                reference_deo_sweep(want, params, steps, want_rng)
+            for got, want in zip(members, wants):
+                assert_same_state(got, want)
+        for got_rng, want_rng in zip(got_rngs, want_rngs):
+            assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+    def test_negative_gibbs_steps_are_rejected(self, stacked):
+        params = random_params(np.random.default_rng(21), 3, 2)
+        ens = make_ensemble([1.0, 0.5, 0.0])
+        before = sweep_state(make_ensemble([1.0, 0.5, 0.0]))
+        sweep_params, target, rng = params, ens, np.random.default_rng(22)
+        if stacked:
+            sweep_params = rbm.RbmParams.view(params.flat[None], 2, 3)
+            target, rng = tempering.EnsembleStack([ens]), [rng]
+        with pytest.raises(ValueError, match="gibbs_steps"):
+            tempering.deo_sweep(target, sweep_params, -3, rng)
+        # refused before any draw, Gibbs step, swap or bookkeeping
+        for (name, a), (_, b) in zip(sweep_state(ens), before):
+            assert same_bits(a, b), name
+        state = np.random.default_rng(22).random()
+        assert (rng[0] if stacked else rng).random() == state
+        with pytest.raises(ValueError, match="gibbs_steps"):
+            rbm.gibbs_sweep_chains(params, ens.visible, ens.hidden, ens.betas, -1, np.zeros(0))
+        # zero steps stay valid: the particles come back as they went in
+        v, h, product = rbm.gibbs_sweep_chains(
+            params, ens.visible, ens.hidden, ens.betas, 0, np.zeros(0)
+        )
+        assert same_bits(v, ens.visible) and same_bits(h, ens.hidden) and product is None
+        tempering.deo_sweep(target, sweep_params, 0, rng)
+        assert ens.sweep_parity == 1
+
+
 class TestDeoSweepProperties:
     @settings(max_examples=200, deadline=None)
     @given(sweep_cases())
@@ -324,16 +406,18 @@ class TestLabelsAndReturnTime:
     def test_estimate_before_any_trip_is_counter_sum(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
         ens.counters[:] = [3, 5, 2]
-        assert tempering.estimate_return_time(ens) == 10.0
+        tempering._end_sweep(ens)
+        assert ens.tau_hat == 10.0
 
     def test_estimate_floor(self):
         ens = make_ensemble([1.0, 0.5, 0.0])
-        assert tempering.estimate_return_time(ens) == 1.0
+        tempering._end_sweep(ens)
+        assert ens.tau_hat == 1.0
 
     def test_estimate_tracks_completed_trips(self):
         ens = make_ensemble([1.0, 0.0])
         ens.round_trip_ema = 12.5
-        assert tempering.estimate_return_time(ens) == 12.5
+        tempering._end_sweep(ens)
         assert ens.tau_hat == 12.5
 
 
