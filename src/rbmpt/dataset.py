@@ -31,15 +31,13 @@ class MixtureSpec:
 
     prototypes: (m, d) array of 0/1 rows; weights: (m,) mixing weights
     summing to one; flip_probs: (m,) per-component pixel flip probabilities
-    in [0, 0.5]. image_side is a reshape hint for square image data.
-    cdf is the normalised cumulative weight vector `sample_batch` draws
-    components from, computed once after validation.
+    in [0, 0.5]. cdf is the normalised cumulative weight vector
+    `sample_batch` draws components from, computed once after validation.
     """
 
     prototypes: np.ndarray
     weights: np.ndarray
     flip_probs: np.ndarray
-    image_side: int = 28
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,10 +58,6 @@ class MixtureSpec:
         self.cdf /= self.cdf[-1]
 
     @property
-    def num_components(self) -> int:
-        return self.prototypes.shape[0]
-
-    @property
     def num_pixels(self) -> int:
         return self.prototypes.shape[1]
 
@@ -79,7 +73,7 @@ def default_spec(rng: np.random.Generator, image_side: int = 28) -> MixtureSpec:
     weights = weights / weights.sum()
     d = image_side * image_side
     prototypes = (rng.random((len(weights), d)) < 0.5).astype(np.float64)
-    return MixtureSpec(prototypes, weights, np.array(MIXTURE_FLIP_PROBS), image_side)
+    return MixtureSpec(prototypes, weights, np.array(MIXTURE_FLIP_PROBS))
 
 
 def sample_batch(spec: MixtureSpec, rng, n: int) -> np.ndarray:
@@ -87,7 +81,7 @@ def sample_batch(spec: MixtureSpec, rng, n: int) -> np.ndarray:
     (R, n, d) stack whose slice r is the batch generator r alone gives.
 
     Components are drawn by inverting `spec.cdf`, which is what
-    `rng.choice(num_components, size=n, p=weights)` does after its argument
+    `rng.choice(len(weights), size=n, p=weights)` does after its argument
     checks, so the random stream is the same.
     """
     random = rng.random if type(rng) is not list else stacked_random(rng)

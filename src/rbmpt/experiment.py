@@ -25,7 +25,6 @@ import numpy as np
 
 from . import dataset as ds
 from . import rbm
-from .adaptation import AdaptationConfig
 from .training import TrainConfig, train_lockstep, write_metrics_csv
 
 logger = logging.getLogger(__name__)
@@ -86,10 +85,6 @@ class ExperimentPlan:
                 raise ValueError(f"replicate seeds must be nonnegative ({run.label})")
 
 
-def config_to_dict(config: TrainConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def _typed(value, want: type, where: str):
     """`value` if its type is exactly `want`, so no bool passes for an int
     and no float for an int; an int passes, as a float, where a float is
@@ -101,50 +96,40 @@ def _typed(value, want: type, where: str):
     return value
 
 
-def _fields(record: dict, cls, where: str) -> dict:
-    """`record` as keyword arguments of the dataclass `cls`, once every key
-    names a field and every value has its field's type."""
+def _known(record: dict, keys, where: str) -> dict:
+    """`record`, once it is a dict whose every key is one of `keys`."""
     _typed(record, dict, where)
-    types = typing.get_type_hints(cls)
-    unknown = sorted(set(record) - {f.name for f in dataclasses.fields(cls)})
+    unknown = sorted(set(record) - set(keys))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
-    return {
-        key: _typed(value, types[key], f"{where} key {key!r}") for key, value in record.items()
-    }
+    return record
+
+
+def _fields(record: dict, cls, where: str) -> dict:
+    """`record` as keyword arguments of the dataclass `cls`, once every key
+    names a field and every value has its field's type; a field that is
+    itself a dataclass is read from a nested record the same way."""
+    types = typing.get_type_hints(cls)
+    fields = {}
+    for key, value in _known(record, [f.name for f in dataclasses.fields(cls)], where).items():
+        want = types[key]
+        if dataclasses.is_dataclass(want):
+            fields[key] = want(**_fields(value, want, key))
+        else:
+            fields[key] = _typed(value, want, f"{where} key {key!r}")
+    return fields
 
 
 def config_from_dict(record: dict) -> TrainConfig:
-    record = dict(_typed(record, dict, "config"))
-    adaptation = record.pop("adaptation", None)
-    if adaptation is None:
-        adaptation = AdaptationConfig()
-    else:
-        adaptation = AdaptationConfig(**_fields(adaptation, AdaptationConfig, "adaptation"))
-    return TrainConfig(adaptation=adaptation, **_fields(record, TrainConfig, "config"))
-
-
-def plan_to_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "dataset": dataclasses.asdict(plan.data),
-        "output_dir": plan.output_dir,
-        "runs": [
-            {
-                "label": run.label,
-                "seeds": list(run.seeds),
-                "config": config_to_dict(run.config),
-            }
-            for run in plan.runs
-        ],
-    }
+    return TrainConfig(**_fields(record, TrainConfig, "config"))
 
 
 def plan_from_dict(record: dict) -> ExperimentPlan:
-    _typed(record, dict, "plan")
+    _known(record, ("dataset", "output_dir", "runs"), "plan")
     data = DatasetSettings(**_fields(record.get("dataset", {}), DatasetSettings, "dataset"))
     runs = []
     for entry in _typed(record.get("runs", []), list, "plan key 'runs'"):
-        _typed(entry, dict, "plan run")
+        _known(entry, [f.name for f in dataclasses.fields(PlannedRun)], "plan run")
         # a missing key reads as None, which no type check passes
         label = _typed(entry.get("label"), str, "run key 'label'")
         seeds = _typed(entry.get("seeds"), list, f"seeds of {label!r}")
@@ -230,7 +215,7 @@ def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) ->
         sidecar = {
             "label": planned.label,
             "seed": config.seed,
-            "config": config_to_dict(config),
+            "config": dataclasses.asdict(config),
             "dataset": dataclasses.asdict(data),
             "final": {
                 "update_index": final.update_index,

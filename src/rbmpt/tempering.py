@@ -245,16 +245,13 @@ def _deo_sweep_stack(
         swap_uniforms = uniforms[:, gibbs_draws:].tolist()
         orders = [_swap_round(ens, row, u) for ens, row, u in zip(members, e, swap_uniforms)]
         if orders.count(None) < len(orders):
-            # one gather per stacked array, replica r's rows at offset r * m
-            rows = []
-            for offset, order in zip(range(0, m * len(orders), m), orders):
-                rows += range(offset, offset + m) if order is None else [offset + i for i in order]
-            rows = np.array(rows)
-            visible = visible.reshape(rows.size, -1).take(rows, axis=0).reshape(visible.shape)
-            hidden = hidden.reshape(rows.size, -1).take(rows, axis=0).reshape(hidden.shape)
-            # in place, so the members' views stay valid; take buffers the overlap
-            for flat in (stack.labels.reshape(-1), stack.counters.reshape(-1)):
-                flat.take(rows, out=flat)
+            # one [replica, slot] gather per stacked array
+            slots = [range(m) if order is None else order for order in orders]
+            index = np.arange(len(orders))[:, None], np.array(slots)
+            visible, hidden = visible[index], hidden[index]
+            # in place, so the members' views stay valid
+            stack.labels[...] = stack.labels[index]
+            stack.counters[...] = stack.counters[index]
     stack._set_particles(visible, hidden)
     if m > 1:
         stack.counters += 1

@@ -45,18 +45,6 @@ THETA_ABS_LIMIT = 1e6
 # while preserving the relative cost of the algorithms.
 MODELED_SECONDS_PER_UNIT = 1e-8
 
-CSV_HEADER = [
-    "update_index",
-    "wall_clock_seconds",
-    "train_loglik",
-    "tau_hat",
-    "avg_swap_rate",
-    "num_chains",
-    "betas",
-    "fup",
-    "pair_swap_rates",
-]
-
 
 class DivergenceError(RuntimeError):
     """Raised when a gradient update produces unusable parameters; the
@@ -133,6 +121,10 @@ class MetricsRecord:
             ";".join(repr(v) for v in self.fup),
             ";".join(repr(r) for r in self.pair_swap_rates),
         ]
+
+
+# the metrics CSV's columns: MetricsRecord's fields, in order
+CSV_HEADER = [f.name for f in dataclasses.fields(MetricsRecord)]
 
 
 def initial_ensemble(config: TrainConfig, num_visible: int, rng: np.random.Generator) -> Ensemble:

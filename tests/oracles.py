@@ -142,7 +142,7 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 def reference_sample_batch(spec, rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, d) mixture draws: components via Generator.choice, then pixel flips."""
-    comps = rng.choice(spec.num_components, size=n, p=spec.weights)
+    comps = rng.choice(len(spec.weights), size=n, p=spec.weights)
     flips = rng.random((n, spec.num_pixels)) < spec.flip_probs[comps, None]
     return np.abs(spec.prototypes[comps] - flips.astype(np.float64))
 

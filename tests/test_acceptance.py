@@ -12,6 +12,7 @@ when its fingerprint (a sha256 of the package source and the plan, stored
 next to the manifest) differs.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -28,7 +29,6 @@ from rbmpt.experiment import (
     DatasetSettings,
     build_dataset,
     comparison_plan,
-    plan_to_dict,
     run_experiment,
 )
 from rbmpt.tempering import Ensemble
@@ -75,7 +75,7 @@ def campaign_fingerprint(plan) -> str:
     digest = hashlib.sha256()
     for path in sorted(Path(rbm.__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    digest.update(json.dumps(plan_to_dict(plan), sort_keys=True).encode())
+    digest.update(json.dumps(dataclasses.asdict(plan), sort_keys=True).encode())
     return digest.hexdigest()
 
 

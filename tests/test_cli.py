@@ -52,8 +52,11 @@ def exit_code(argv):
         return exc.code
 
 
-def write_plan(path, dataset=None, config=None, seeds=(0,), label="planned"):
-    """A one-run plan file: sml, 6 updates, 5 hidden units, 3x3 images."""
+def write_plan(
+    path, dataset=None, config=None, seeds=(0,), label="planned", plan=None, run=None
+):
+    """A one-run plan file: sml, 6 updates, 5 hidden units, 3x3 images;
+    `plan` and `run` add keys to the plan and to its run entry."""
     record = {
         "dataset": {"image_side": 3, "eval_size": 10, **(dataset or {})},
         "runs": [
@@ -67,8 +70,10 @@ def write_plan(path, dataset=None, config=None, seeds=(0,), label="planned"):
                     "eval_interval": 3,
                     **(config or {}),
                 },
+                **(run or {}),
             }
         ],
+        **(plan or {}),
     }
     path.write_text(json.dumps(record))
     return str(path)
@@ -161,12 +166,6 @@ class TestGridCommand:
         labels = [run.label for run in plan.runs]
         assert len(labels) == 14  # 2 sml + 6 fixed-ladder + 6 adaptive cells
         assert len(set(labels)) == 14
-
-    def test_plan_roundtrip(self, tmp_path):
-        plan = experiment.comparison_plan(tmp_path / "out", scale="ci", num_seeds=2)
-        back = experiment.plan_from_dict(experiment.plan_to_dict(plan))
-        assert [r.label for r in back.runs] == [r.label for r in plan.runs]
-        assert back.runs[0].config == plan.runs[0].config
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run_cli(["grid", "--out", str(tmp_path)]) == cli.USAGE_ERROR
@@ -394,6 +393,21 @@ BAD_SETTINGS = {
          "--out", str(d / "out")],
         d / "out",
     ),
+    "plan key typo": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", plan={"data": {"image_side": 8}}),
+         "--out", str(d / "out")],
+        d / "out",
+    ),
+    "plan run key typo": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", run={"sedes": [1]}),
+         "--out", str(d / "out")],
+        d / "out",
+    ),
+    "null plan adaptation": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", config={"adaptation": None}),
+         "--out", str(d / "out")],
+        d / "out",
+    ),
     "field name as file key": lambda d: (
         tiny_train_args(d / "out", ("--config", write_config(d / "c.cfg", "learning_rate = 0.5\n"))),
         d / "out",
@@ -531,6 +545,11 @@ class TestSettings:
             experiment.config_from_dict({"adaptation": {"beta_lr": 0.1}})
         with pytest.raises(ValueError, match="image_sid"):
             experiment.plan_from_dict({"dataset": {"image_sid": 3}})
+        with pytest.raises(ValueError, match="unknown plan key.*'data'"):
+            experiment.plan_from_dict({"runs": [], "data": {"image_side": 8}})
+        run = {"label": "a", "seeds": [1], "config": {}, "sedes": [1]}
+        with pytest.raises(ValueError, match="unknown plan run key.*'sedes'"):
+            experiment.plan_from_dict({"runs": [run]})
 
     def test_plan_values_need_their_field_types(self):
         # an int passes where a float is wanted, and becomes one
@@ -546,6 +565,7 @@ class TestSettings:
             {"algorithm": 1},
             {"adaptation": {"max_chains": 2.0}},
             {"adaptation": [0.1]},
+            {"adaptation": None},
         ):
             with pytest.raises(ValueError, match="expected"):
                 experiment.config_from_dict(config)

@@ -10,7 +10,7 @@ def toy_spec(num_components=3, width=4, seed=30, flip=(0.1, 0.25, 0.4)):
     rng = np.random.default_rng(seed)
     prototypes = (rng.random((num_components, width)) < 0.5).astype(float)
     weights = np.full(num_components, 1.0 / num_components)
-    return dataset.MixtureSpec(prototypes, weights, np.array(flip), image_side=2)
+    return dataset.MixtureSpec(prototypes, weights, np.array(flip))
 
 
 class TestDefaultSpec:
@@ -48,9 +48,7 @@ class TestSampling:
 
     def test_single_component(self):
         proto = (np.random.default_rng(32).random((5, 6)) < 0.5).astype(float)
-        spec = dataset.MixtureSpec(
-            proto, np.array([1.0, 0, 0, 0, 0]), np.zeros(5), image_side=28
-        )
+        spec = dataset.MixtureSpec(proto, np.array([1.0, 0, 0, 0, 0]), np.zeros(5))
         batch = dataset.sample_batch(spec, np.random.default_rng(33), 200)
         assert (batch == proto[0]).all()
 
@@ -60,7 +58,7 @@ class TestSampling:
         assert len({tuple(r) for r in prototypes}) == 5
         weights = np.array(dataset.MIXTURE_WEIGHTS)
         weights = weights / weights.sum()
-        spec = dataset.MixtureSpec(prototypes, weights, np.zeros(5), image_side=4)
+        spec = dataset.MixtureSpec(prototypes, weights, np.zeros(5))
         batch = dataset.sample_batch(spec, rng, 100_000)
         for m in range(5):
             freq = (batch == prototypes[m]).all(axis=1).mean()
@@ -93,7 +91,7 @@ class TestSampling:
 class TestMixtureLogLikelihood:
     def test_certain_prototype(self):
         proto = np.array([[1.0, 0.0, 1.0]])
-        spec = dataset.MixtureSpec(proto, np.array([1.0]), np.array([0.0]), 28)
+        spec = dataset.MixtureSpec(proto, np.array([1.0]), np.array([0.0]))
         assert dataset.mixture_log_likelihood(spec, proto[0]) == 0.0
 
     def test_uniform_noise(self):
@@ -108,7 +106,7 @@ class TestMixtureLogLikelihood:
         prototypes = np.array([[0.0, 0.0], [1.0, 1.0]])
         weights = np.array([0.3, 0.7])
         flips = np.array([0.1, 0.2])
-        spec = dataset.MixtureSpec(prototypes, weights, flips, image_side=1)
+        spec = dataset.MixtureSpec(prototypes, weights, flips)
         for v in ([0, 0], [0, 1], [1, 0], [1, 1]):
             v = np.array(v, dtype=float)
             want = 0.0
@@ -120,9 +118,7 @@ class TestMixtureLogLikelihood:
 
     def test_zero_flip_probability_mismatch(self):
         prototypes = np.array([[0.0, 0.0], [1.0, 1.0]])
-        spec = dataset.MixtureSpec(
-            prototypes, np.array([0.5, 0.5]), np.array([0.0, 0.25]), 1
-        )
+        spec = dataset.MixtureSpec(prototypes, np.array([0.5, 0.5]), np.array([0.0, 0.25]))
         # first component is impossible for this v, second still covers it
         got = dataset.mixture_log_likelihood(spec, np.array([1.0, 0.0]))
         assert got == pytest.approx(np.log(0.5 * 0.25 * 0.75), rel=1e-12)
@@ -134,9 +130,7 @@ class TestMixtureLogLikelihood:
         spec = toy_spec()
         rng = np.random.default_rng(37)
         perm = rng.permutation(4)
-        permuted = dataset.MixtureSpec(
-            spec.prototypes[:, perm], spec.weights, spec.flip_probs, spec.image_side
-        )
+        permuted = dataset.MixtureSpec(spec.prototypes[:, perm], spec.weights, spec.flip_probs)
         v = (rng.random(4) < 0.5).astype(float)
         assert dataset.mixture_log_likelihood(spec, v) == pytest.approx(
             dataset.mixture_log_likelihood(permuted, v[perm]), rel=1e-12

@@ -258,14 +258,12 @@ class TestEvalDataType:
 
 
 def test_failing_label_keeps_the_other_labels(tmp_path, monkeypatch):
-    plan = experiment.comparison_plan(tmp_path / "out", scale="ci", num_seeds=2)
-    for run in plan.runs:
-        run.config = dataclasses.replace(
-            run.config, num_updates=6, post_sampling_steps=0, eval_interval=3
-        )
-    plan.data.image_side, plan.data.eval_size = 3, 10
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps(experiment.plan_to_dict(plan)))
+    out = tmp_path / "out"
+    argv = [
+        "grid", "--preset", "comparison", "--scale", "ci", "--num-seeds", "2",
+        "--updates", "6", "--post-steps", "0", "--eval-interval", "3",
+        "--image-side", "3", "--eval-size", "10", "--out", str(out),
+    ]
     train_lockstep = experiment.train_lockstep
 
     def flaky(configs, *args, **kwargs):
@@ -274,8 +272,7 @@ def test_failing_label_keeps_the_other_labels(tmp_path, monkeypatch):
         return train_lockstep(configs, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "train_lockstep", flaky)
-    assert cli.main(["grid", "--plan", str(plan_path)]) == cli.RUNTIME_ERROR
-    out = tmp_path / "out"
+    assert cli.main(argv) == cli.RUNTIME_ERROR
     manifest = json.loads((out / experiment.MANIFEST_NAME).read_text())
     failed = [entry for entry in manifest["runs"] if "error" in entry]
     assert [(e["label"], e["seed"]) for e in failed] == [("sml-pt-20", 0), ("sml-pt-20", 1)]

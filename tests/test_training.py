@@ -13,9 +13,7 @@ from oracles import random_params, reference_sml_update, same_bits
 def toy_stream(width=6, seed=50):
     rng = np.random.default_rng(seed)
     prototypes = (rng.random((3, width)) < 0.5).astype(float)
-    spec = dataset.MixtureSpec(
-        prototypes, np.full(3, 1 / 3), np.array([0.05, 0.1, 0.2]), image_side=28
-    )
+    spec = dataset.MixtureSpec(prototypes, np.full(3, 1 / 3), np.array([0.05, 0.1, 0.2]))
     return dataset.BatchSampler(spec)
 
 
