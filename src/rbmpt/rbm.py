@@ -17,13 +17,25 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 # Largest layer we are willing to enumerate exactly (2^cap states).
 EXACT_LAYER_CAP = 25
 
-# States enumerated per block when summing out a layer, to bound memory.
+# States enumerated per chunk when summing out a layer; each chunk takes one
+# log-sum-exp.
 _ENUM_BLOCK = 4096
+
+# float64 entries (2 MiB) per block when the exact likelihood streams its rows
+# and log Z fills a chunk's terms (see `_block_rows`). At 28x28 that is 256
+# rows or states: the exact likelihood then took the time of the one-call form
+# (about 12 ms on a 2-vCPU Xeon) and its peak fell from 12.3 to 3.1 MiB; 512
+# rows read 6.2 MiB and were slower.
+_BLOCK_ENTRIES = 1 << 18
+
+# A multiple of the row tile of the BLAS product kernels: 16 in OpenBLAS's
+# SkylakeX DGEMM, 4 or 8 in others.
+_ROW_TILE = 16
 
 # Entries from which the Gibbs kernel's logistic uses numpy's vectorised exp
 # rather than scipy's expit, whose loop calls scalar libm exp per entry. Timed
@@ -273,12 +285,46 @@ def _bit_patterns(n: int, start: int, stop: int) -> np.ndarray:
     return ((idx >> np.arange(n)) & 1).astype(np.float64)
 
 
+def _block_rows(width: int) -> int:
+    """Rows of `width` entries per block: the largest power of two whose
+    block holds at most `_BLOCK_ENTRIES` entries, but never fewer than 256.
+
+    A BLAS may pick its kernel, and with it the rounding, by the shape of a
+    product: OpenBLAS has kernels of its own for products of up to about a
+    million multiply-adds. A block is a power of two, so it divides a chunk
+    of states and is a multiple of `_ROW_TILE`; from 256 rows on, a blocked
+    product at the presets' shapes takes the one-call product's kernel, so
+    each entry keeps its bits.
+    """
+    return 1 << max(8, (_BLOCK_ENTRIES // width).bit_length() - 1)
+
+
+def _logsumexp(a: np.ndarray) -> np.float64:
+    """log(sum(exp(a))) of a 1-D array of finite numbers and -inf, with at
+    least one entry; -inf when every entry is -inf.
+
+    Evaluates scipy.special.logsumexp's formula (scipy 1.17), so the two
+    agree bit for bit: the entries equal to the maximum are taken out of the
+    sum, s sums exp(a - max) over the rest in place, and with m maxima the
+    result is log1p(s / m) + log(m) + max.
+    """
+    top = a.max()
+    if top == -np.inf:
+        return top
+    is_top = a == top
+    shifted = np.exp(a - top)
+    shifted[is_top] = 0.0
+    m = np.float64(np.count_nonzero(is_top))
+    return np.log1p(shifted.sum() / m) + np.log(m) + top
+
+
 def exact_log_partition(params: RbmParams) -> float:
     """log Z of the beta = 1 model by summing out the smaller layer analytically.
 
     Enumerates the smaller of the two layers and uses
     Z = sum_h exp(b'h) prod_j (1 + exp(c_j + (W'h)_j))
-    (or the visible-side mirror image), entirely in log space.
+    (or the visible-side mirror image), entirely in log space, one
+    log-sum-exp per chunk of `_ENUM_BLOCK` states.
     """
     nh, nv = params.num_hidden, params.num_visible
     if min(nh, nv) > EXACT_LAYER_CAP:
@@ -298,12 +344,23 @@ def exact_log_partition(params: RbmParams) -> float:
     chunk_logs = []
     for start in range(0, total, _ENUM_BLOCK):
         states = _bit_patterns(n_enum, start, min(start + _ENUM_BLOCK, total))
-        act = states @ cross.T
+        chunk_logs.append(_logsumexp(_chunk_terms(states, bias_enum, cross, bias_other)))
+    return float(_logsumexp(np.array(chunk_logs)))
+
+
+def _chunk_terms(
+    states: np.ndarray, bias_enum: np.ndarray, cross: np.ndarray, bias_other: np.ndarray
+) -> np.ndarray:
+    """log of each enumerated state's summed-out weight,
+    states @ bias_enum + sum_j softplus(states @ cross.T + bias_other)_j,
+    with the activations of `_block_rows` states held at a time."""
+    terms = states @ bias_enum
+    step = _block_rows(cross.shape[0])
+    for start in range(0, states.shape[0], step):
+        act = states[start : start + step] @ cross.T
         act += bias_other
-        terms = states @ bias_enum
-        terms += _softplus(act).sum(axis=1)
-        chunk_logs.append(logsumexp(terms))
-    return float(logsumexp(np.array(chunk_logs)))
+        terms[start : start + step] += _softplus(act).sum(axis=1)
+    return terms
 
 
 def free_energy(params: RbmParams, visible: np.ndarray) -> np.ndarray:
@@ -320,10 +377,11 @@ def free_energy(params: RbmParams, visible: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DistinctRows:
     """A binary data set reduced to what its exact likelihood reads: the
-    distinct rows, (r, nv) float64; how often each occurs, (r,) float64 whole
-    numbers summing to `size`; and their count-weighted sum over rows, (nv,),
-    which is exact because it adds integers. Build it with `distinct_rows`;
-    its arrays are read-only.
+    distinct rows, (r, nv) bool, one byte per unit; how often each occurs,
+    (r,) float64 whole numbers summing to `size`; and their count-weighted
+    sum over rows, (nv,) float64, which is exact because it adds whole
+    numbers. Build it with `distinct_rows`; its arrays are read-only.
+    `exact_log_likelihood` reads the rows as float64 one block at a time.
     """
 
     rows: np.ndarray
@@ -333,35 +391,62 @@ class DistinctRows:
 
 
 def distinct_rows(data: np.ndarray) -> DistinctRows:
-    """An (m, nv) array of 0/1 rows, m >= 1, as a DistinctRows; a ValueError
-    for any other input. Rows are grouped by their packed bits. A boolean
-    array is read as is, so only its distinct rows are ever held as floats.
+    """An (m, nv) array of 0/1 rows, m >= 1, float or boolean, as a
+    DistinctRows; a ValueError for any other input. Rows are grouped by
+    their packed bits and kept as booleans.
     """
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError(f"data must be a matrix of at least one row, got shape {data.shape}")
-    if data.dtype == bool:
-        bits = data
-        keys = np.packbits(bits, axis=1)
-    else:
-        data = data.astype(np.float64, copy=False)
-        bits = data == 1.0
-        keys = np.packbits(bits, axis=1)
-        num_ones = np.count_nonzero(bits)
+    bits = data
+    if data.dtype != bool:
+        bits = data == 1
         # the rows are binary when the ones are all the nonzero entries
-        if num_ones != np.count_nonzero(np.not_equal(data, 0.0, out=bits)):
+        if np.count_nonzero(bits) != np.count_nonzero(data):
             raise ValueError("data rows must hold only 0 and 1")
+    keys = np.packbits(bits, axis=1)
     # one opaque record per row, so np.unique compares whole rows bytewise
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    # rows in order of first occurrence: the gather reads `data` front to back
+    # rows in order of first occurrence: the gather reads `bits` front to back
     order = first.argsort()
-    rows = data[first[order]].astype(np.float64, copy=False)
+    rows = bits[first[order]]
     counts = counts[order].astype(np.float64)
-    visible_sum = counts @ rows
+    # a block at a time, so only one block of rows is ever held as floats
+    visible_sum = np.zeros(rows.shape[1])
+    step = _block_rows(rows.shape[1])
+    for start in range(0, rows.shape[0], step):
+        visible_sum += counts[start : start + step] @ rows[start : start + step]
     for array in (rows, counts, visible_sum):
         array.setflags(write=False)
     return DistinctRows(rows, counts, visible_sum, data.shape[0])
+
+
+def _row_products(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """weights @ rows.T as float64, (nh, r) rather than (r, nh), the faster
+    layout for BLAS: the rows, of any 0/1 dtype, are copied `_block_rows`
+    at a time into one float64 buffer, and each block's product fills its
+    columns.
+
+    The last block ends at the last row, starts at a multiple of
+    `_ROW_TILE` rows and may overlap the one before it. So no block is
+    shorter than the others, and each row sits at the place in its BLAS row
+    tile that it has in the one-call product. With OpenBLAS, at 1 and 2
+    threads, every entry then keeps the one-call product's bits from 5
+    hidden units on; with fewer, a block can fall under the size from which
+    OpenBLAS uses its general kernel, and an entry may differ in its last
+    bit.
+    """
+    r, nv = rows.shape
+    step = min(_block_rows(nv), r)
+    last = (r - step) // _ROW_TILE * _ROW_TILE
+    block = np.empty((r - last, nv))
+    out = np.empty((weights.shape[0], r))
+    for start in [*range(0, last, step), last]:
+        stop = start + step if start < last else r
+        np.copyto(block[: stop - start], rows[start:stop])
+        np.matmul(weights, block[: stop - start].T, out=out[:, start:stop])
+    return out
 
 
 def exact_log_likelihood(params: RbmParams, data: DistinctRows) -> float:
@@ -376,8 +461,7 @@ def exact_log_likelihood(params: RbmParams, data: DistinctRows) -> float:
             f"got {type(data).__name__}"
         )
     log_z = exact_log_partition(params)
-    # (nh, r) rather than (r, nh): the faster layout for BLAS, the same bits
-    act = params.weights @ data.rows.T
+    act = _row_products(params.weights, data.rows)
     act += params.hidden_bias[:, None]
     hidden_term = (_softplus(act) @ data.counts).sum()
     return float((hidden_term + data.visible_sum @ params.visible_bias) / data.size - log_z)

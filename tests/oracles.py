@@ -9,6 +9,11 @@ library's hot-path kernels: the samplers draw from the generator block by
 block, phase by phase, which the library's one-block draws must match, and
 the update rules use numpy scalars and masked adds. The library must
 reproduce their output bit for bit.
+
+The `unblocked_*` functions are the exact partition function and likelihood
+as they stood before the library streamed them in blocks: one product over
+all distinct rows, one over each chunk of states, scipy's logsumexp. The
+blocked forms must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +23,16 @@ from scipy.special import expit, logsumexp
 
 from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP
 from rbmpt import tempering
-from rbmpt.rbm import RbmParams, energies
+from rbmpt.rbm import (
+    _ENUM_BLOCK,
+    EXACT_LAYER_CAP,
+    DistinctRows,
+    IntractableModelError,
+    RbmParams,
+    _bit_patterns,
+    _softplus,
+    energies,
+)
 from rbmpt.tempering import (
     DOWN,
     RETURN_TIME_EMA_DECAY,
@@ -126,6 +140,53 @@ def reference_exact_log_likelihood(params: RbmParams, data: np.ndarray) -> float
         + np.logaddexp(0.0, data @ params.weights.T + params.hidden_bias).sum(axis=1)
     )
     return float(np.mean(-free - log_z))
+
+
+def unblocked_exact_log_partition(params: RbmParams) -> float:
+    """log Z by summing out the smaller layer, each chunk of states in one
+    product; the library's form before it filled a chunk in blocks."""
+    nh, nv = params.num_hidden, params.num_visible
+    if min(nh, nv) > EXACT_LAYER_CAP:
+        raise IntractableModelError(
+            f"exact evaluation needs min(num_hidden, num_visible) <= {EXACT_LAYER_CAP}, "
+            f"got {nh} hidden / {nv} visible"
+        )
+    if nh <= nv:
+        n_enum = nh
+        bias_enum, bias_other = params.hidden_bias, params.visible_bias
+        cross = params.weights.T  # (nv, nh): activation of the kept layer
+    else:
+        n_enum = nv
+        bias_enum, bias_other = params.visible_bias, params.hidden_bias
+        cross = params.weights  # (nh, nv)
+    total = 1 << n_enum
+    chunk_logs = []
+    for start in range(0, total, _ENUM_BLOCK):
+        states = _bit_patterns(n_enum, start, min(start + _ENUM_BLOCK, total))
+        chunk_logs.append(logsumexp(unblocked_chunk_terms(states, bias_enum, cross, bias_other)))
+    return float(logsumexp(np.array(chunk_logs)))
+
+
+def unblocked_chunk_terms(states, bias_enum, cross, bias_other) -> np.ndarray:
+    """The terms of one chunk of enumerated states from one product."""
+    act = states @ cross.T
+    act += bias_other
+    terms = states @ bias_enum
+    terms += _softplus(act).sum(axis=1)
+    return terms
+
+
+def unblocked_exact_log_likelihood(params: RbmParams, data: DistinctRows) -> float:
+    """Mean log p(v) over `data` with every distinct row in one product, the
+    rows held as float64; the library's form before it streamed the rows in
+    blocks."""
+    rows = data.rows.astype(np.float64)
+    log_z = unblocked_exact_log_partition(params)
+    # (nh, r) rather than (r, nh): the faster layout for BLAS, the same bits
+    act = params.weights @ rows.T
+    act += params.hidden_bias[:, None]
+    hidden_term = (_softplus(act) @ data.counts).sum()
+    return float((hidden_term + data.visible_sum @ params.visible_bias) / data.size - log_z)
 
 
 def random_params(rng: np.random.Generator, num_visible: int, num_hidden: int, scale: float = 1.0) -> RbmParams:

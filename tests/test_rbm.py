@@ -1,9 +1,13 @@
 import collections
+import functools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit, logsumexp
 
 from rbmpt import dataset, experiment, rbm
 
@@ -19,6 +23,9 @@ from oracles import (
     same_bits,
     state_index,
     total_variation,
+    unblocked_chunk_terms,
+    unblocked_exact_log_likelihood,
+    unblocked_exact_log_partition,
 )
 
 
@@ -361,6 +368,13 @@ def eval_snapshot(image_side):
     return dataset.sample_batch(spec, rng, data.eval_size), eval_rows
 
 
+@functools.cache
+def distinct_snapshot(image_side):
+    """`eval_snapshot(image_side)`'s DistinctRows alone, built once."""
+    data = experiment.DatasetSettings(image_side=image_side, eval_size=10_000)
+    return experiment.build_dataset(data)[1]
+
+
 # (image side, hidden units, weight scale) of the ci and full presets
 SNAPSHOT_SHAPES = {"ci": (8, 5, 1.0), "full": (28, 10, 0.3)}
 
@@ -370,11 +384,12 @@ class TestDistinctRows:
     def test_real_snapshot(self, scale):
         raw, eval_rows = eval_snapshot(SNAPSHOT_SHAPES[scale][0])
         assert isinstance(eval_rows, rbm.DistinctRows)
+        assert eval_rows.rows.dtype == bool
         assert eval_rows.size == raw.shape[0] == eval_rows.counts.sum()
         keys = [row.tobytes() for row in eval_rows.rows]
         assert len(set(keys)) == len(keys)  # no row repeats
         # every snapshot row is present, with its multiplicity
-        want = collections.Counter(row.tobytes() for row in raw)
+        want = collections.Counter((row == 1).tobytes() for row in raw)
         assert dict(zip(keys, eval_rows.counts)) == want
         assert same_bits(eval_rows.visible_sum, raw.sum(axis=0))
 
@@ -391,7 +406,7 @@ class TestDistinctRows:
         a, b, c, d = np.zeros(9), np.eye(9)[8], np.eye(9)[0], np.ones(9)
         data = np.array([a, b, a, c, b, a, d])
         eval_rows = rbm.distinct_rows(data)
-        assert same_bits(eval_rows.rows, np.array([a, b, c, d]))
+        assert same_bits(eval_rows.rows, np.array([a, b, c, d]) == 1)
         assert same_bits(eval_rows.counts, np.array([3.0, 2.0, 1.0, 1.0]))
         assert same_bits(eval_rows.visible_sum, data.sum(axis=0))
 
@@ -423,6 +438,153 @@ class TestLikelihoodOnDistinctRows:
         p = rbm.RbmParams(np.zeros((30, 30)), np.zeros(30), np.zeros(30))
         with pytest.raises(rbm.IntractableModelError):
             rbm.exact_log_likelihood(p, rbm.distinct_rows(np.zeros((2, 7))))
+
+
+def one_call_products(weights, rows):
+    """weights @ rows.T in one product, the rows as float64."""
+    return weights @ rows.astype(np.float64).T
+
+
+class TestBlockedEvaluation:
+    """The blocked likelihood and log Z against the unblocked forms, bit for
+    bit: each block's products and each chunk's terms must have the bits of
+    the one-call product, and so must the results."""
+
+    @pytest.mark.parametrize("scale", SNAPSHOT_SHAPES)
+    def test_real_snapshot(self, scale):
+        image_side, nh, weight_scale = SNAPSHOT_SHAPES[scale]
+        eval_rows = distinct_snapshot(image_side)
+        for seed in range(31, 36):
+            p = random_params(np.random.default_rng(seed), image_side**2, nh, scale=weight_scale)
+            assert same_bits(
+                rbm._row_products(p.weights, eval_rows.rows),
+                one_call_products(p.weights, eval_rows.rows),
+            )
+            assert same_bits(
+                rbm.exact_log_likelihood(p, eval_rows), unblocked_exact_log_likelihood(p, eval_rows)
+            )
+
+    @pytest.mark.parametrize("scale", SNAPSHOT_SHAPES)
+    @pytest.mark.parametrize(
+        "blocks, extra", [(1, -1), (1, 1), (1, 17), (2, 3)],
+        ids=["block-1", "block+1", "block+17", "2block+3"],
+    )
+    def test_ragged_last_block(self, scale, blocks, extra):
+        image_side, nh, weight_scale = SNAPSHOT_SHAPES[scale]
+        nv = image_side**2
+        count = blocks * rbm._block_rows(nv) + extra
+        rng = np.random.default_rng(count)
+        data = rng.random((count, nv)) < 0.5
+        eval_rows = rbm.distinct_rows(np.concatenate([data, data[::3]]))
+        assert eval_rows.rows.shape[0] == count
+        for _ in range(3):
+            p = random_params(rng, nv, nh, scale=weight_scale)
+            assert same_bits(
+                rbm._row_products(p.weights, eval_rows.rows),
+                one_call_products(p.weights, eval_rows.rows),
+            )
+            assert same_bits(
+                rbm.exact_log_likelihood(p, eval_rows), unblocked_exact_log_likelihood(p, eval_rows)
+            )
+
+    @pytest.mark.parametrize("nh", [5, 8, 12, 25])
+    @pytest.mark.parametrize("nv", [64, 100, 784])
+    def test_products_from_five_hidden_units(self, nh, nv):
+        block = rbm._block_rows(nv)
+        rng = np.random.default_rng(nh * nv)
+        for count in (block + 17, 2 * block + 3, 6912):
+            rows = rng.random((count, nv)) < 0.5
+            weights = rng.uniform(-0.3, 0.3, (nh, nv))
+            assert same_bits(rbm._row_products(weights, rows), one_call_products(weights, rows))
+
+    @pytest.mark.parametrize("n_enum", range(1, 14))
+    def test_log_partition(self, n_enum):
+        # 13 units span two 4096-state chunks; from 9 units on, a 784-wide
+        # other layer fills a chunk in more than one block
+        rng = np.random.default_rng(50 + n_enum)
+        states = rbm._bit_patterns(n_enum, 0, min(1 << n_enum, rbm._ENUM_BLOCK))
+        for other in (n_enum, 64, 784):
+            for _ in range(2):
+                p = random_params(rng, other, n_enum, scale=1.0)
+                parts = (p.hidden_bias, p.weights.T, p.visible_bias)
+                assert same_bits(rbm._chunk_terms(states, *parts), unblocked_chunk_terms(states, *parts))
+                mirror = rbm.RbmParams(p.weights.T, p.visible_bias, p.hidden_bias)
+                for q in (p, mirror):
+                    assert same_bits(rbm.exact_log_partition(q), unblocked_exact_log_partition(q))
+
+
+@st.composite
+def log_terms(draw):
+    """1-D arrays of one or more log-domain terms, as log Z's chunks and the
+    mixture density hand them over: up to a few thousand entries spread
+    over 0 (all tied) to 1e4 below an offset, with some entries set to the
+    maximum (tied maxima) or to -inf, never all of them."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.0, 1.0, 5.0, 50.0, 1e4]))
+    a = rng.uniform(-spread, 0.0, n) + draw(st.floats(-1e3, 1e3))
+    a[rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.3]))] = a.max()
+    a[(rng.random(n) < draw(st.sampled_from([0.0, 0.1]))) & (a < a.max())] = -np.inf
+    return a
+
+
+def short_log_terms():
+    """Short lists of hand-picked values, ties and -inf among them."""
+    pool = st.sampled_from([0.0, -1.5, 3.25, -np.inf])
+    values = st.lists(st.one_of(pool, st.floats(-40.0, 40.0)), min_size=1, max_size=40)
+    return values.filter(lambda v: max(v) > -np.inf).map(np.array)
+
+
+class TestLogSumExp:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(log_terms(), short_log_terms()))
+    def test_matches_scipy(self, a):
+        assert same_bits(rbm._logsumexp(a), logsumexp(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1024])
+    def test_all_entries_tied(self, n):
+        for value in (0.0, -3.7, 512.125):
+            a = np.full(n, value)
+            assert same_bits(rbm._logsumexp(a), logsumexp(a))
+
+    def test_every_entry_minus_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rbm._logsumexp(np.full(3, -np.inf)) == -np.inf
+
+
+def traced(fn, *args):
+    """fn(*args), the bytes it left allocated while its result lives, and
+    its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+class TestEvalMemory:
+    """Allocation sizes are deterministic, so these bounds are not timings.
+    The one-call forms with float64 rows read 55.8 and 41.4 MiB for the
+    snapshot and 12.3 MiB for the likelihood."""
+
+    MIB = 1 << 20
+
+    def test_full_snapshot(self):
+        data = experiment.DatasetSettings(image_side=28, eval_size=10_000)
+        (_, eval_rows), kept, peak = traced(experiment.build_dataset, data)
+        assert eval_rows.rows.shape == (6912, 784)
+        assert peak < 24 * self.MIB
+        assert kept < 8 * self.MIB
+
+    def test_full_likelihood(self):
+        image_side, nh, weight_scale = SNAPSHOT_SHAPES["full"]
+        eval_rows = distinct_snapshot(image_side)
+        p = random_params(np.random.default_rng(61), image_side**2, nh, scale=weight_scale)
+        _, _, peak = traced(rbm.exact_log_likelihood, p, eval_rows)
+        assert peak < 8 * self.MIB
 
 
 class TestSoftplus:
