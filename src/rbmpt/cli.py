@@ -4,9 +4,10 @@ Every run setting is one entry of `SETTINGS`, which builds the flags and
 reads config files. Settings resolve in precedence order: command-line flag,
 then config-file entry, then the plan or preset, then the built-in default
 (`train` runs a one-run plan built from the defaults). Config files are flat
-`key = value` lines (`#` comments, optionally quoted values) whose keys are
-the flag names, spelled with `-` or `_`; each value is converted like its
-flag's argument. The default output directory can be set with RBMPT_OUTDIR.
+`key = value` lines (a `#` outside quotes starts a comment; values may be
+quoted) whose keys are the flag names, spelled with `-` or `_`; each value
+is converted like its flag's argument. The default output directory can be
+set with RBMPT_OUTDIR.
 """
 
 from __future__ import annotations
@@ -85,18 +86,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _strip_comment(line: str, where: str) -> str:
+    """`line` up to its first `#` outside quotes; a ValueError naming
+    `where` if a quote is left open."""
+    quote = None
+    for i, char in enumerate(line):
+        if quote is not None:
+            if char == quote:
+                quote = None
+        elif char in "'\"":
+            quote = char
+        elif char == "#":
+            return line[:i]
+    if quote is not None:
+        raise ValueError(f"{where}: unterminated {quote} quote")
+    return line
+
+
 def read_config_file(path, command: str) -> dict:
     """`command`'s settings from a flat `key = value` file, keyed by flag name;
-    later entries win over earlier ones. An unknown key or a value its flag
-    would not accept is a ValueError naming the file and line."""
+    later entries win over earlier ones. An unknown key, a value its flag
+    would not accept or an unterminated quote is a ValueError naming the
+    file and line."""
     settings = _settings(command)
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            where = f"{path}:{lineno}"
+            line = _strip_comment(raw, where).strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             if "=" not in line:
                 raise ValueError(f"{where}: expected 'key = value'")
             key, _, text = (part.strip() for part in line.partition("="))
@@ -217,19 +236,21 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "summarize":
+        try:
+            # a ValueError here is a bad setting or plan: a usage error
+            plan = train_plan(args) if args.command == "train" else grid_plan(args)
+        except ValueError as exc:
+            print(f"rbmpt: error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+        except (OSError, RuntimeError) as exc:
+            print(f"rbmpt: failed: {exc}", file=sys.stderr)
+            return RUNTIME_ERROR
     try:
+        # settings are valid by now, and summarize takes none, so any error
+        # is a runtime failure
         if args.command == "summarize":
             return summarize(args.output_dir, sys.stdout)
-        # a ValueError here is a bad setting or plan: a usage error
-        plan = train_plan(args) if args.command == "train" else grid_plan(args)
-    except ValueError as exc:
-        print(f"rbmpt: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (OSError, RuntimeError) as exc:
-        print(f"rbmpt: failed: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
-    try:
-        # settings are valid by now, so any error is a runtime failure
         return run_experiment(plan, jobs=getattr(args, "jobs", 1))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"rbmpt: failed: {exc}", file=sys.stderr)

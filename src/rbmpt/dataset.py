@@ -93,16 +93,21 @@ def sample_batch(spec: MixtureSpec, rng, n: int) -> np.ndarray:
 
 
 def sample_bits(spec: MixtureSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The rows `sample_batch(spec, rng, n)` draws, as an (n, d) boolean
-    array: the flips are drawn `_BITS_BLOCK` rows at a time, the same doubles
-    in the same order, so no (n, d) float array is ever held."""
+    """The rows `sample_batch(spec, rng, n)` draws, packed eight pixels to a
+    byte (`np.packbits` along each row, zero padding bits): an
+    (n, ceil(d / 8)) uint8 array. The flips are drawn `_BITS_BLOCK` rows at
+    a time, the same doubles in the same order, and each block is packed as
+    it is drawn, so no (n, d) array is ever held."""
     comps = spec.cdf.searchsorted(rng.random(n), side="right")
-    bits = np.empty((n, spec.num_pixels), dtype=bool)
+    # binary prototype xor binary flip, one packed byte of pixels at a time
+    prototypes = np.packbits(spec.prototypes == 1, axis=1)
+    bits = np.empty((n, prototypes.shape[1]), dtype=np.uint8)
     for start in range(0, n, _BITS_BLOCK):
         stop = min(start + _BITS_BLOCK, n)
+        block = comps[start:stop]
         flips = rng.random((stop - start, spec.num_pixels))
-        np.less(flips, spec.flip_probs[comps[start:stop], None], out=flips)
-        np.not_equal(spec.prototypes[comps[start:stop]], flips, out=bits[start:stop])
+        flipped = np.packbits(flips < spec.flip_probs[block, None], axis=1)
+        np.bitwise_xor(prototypes[block], flipped, out=bits[start:stop])
     return bits
 
 

@@ -152,16 +152,14 @@ def load_plan(path) -> ExperimentPlan:
 def build_dataset(data: DatasetSettings) -> tuple[ds.MixtureSpec, rbm.DistinctRows | None]:
     """Mixture spec and evaluation snapshot derived from the dataset seed; all
     runs of a plan share both. The snapshot is kept as its read-only distinct
-    rows with counts, which is all the exact likelihood reads of it."""
+    rows, packed eight pixels to a byte, with counts, which is all the exact
+    likelihood reads of it."""
     spec = ds.default_spec(
         np.random.default_rng([data.data_seed, _PROTO_STREAM]), data.image_side
     )
     if data.eval_size > 0:
-        eval_data = rbm.distinct_rows(
-            ds.sample_bits(
-                spec, np.random.default_rng([data.data_seed, _EVAL_STREAM]), data.eval_size
-            )
-        )
+        rng = np.random.default_rng([data.data_seed, _EVAL_STREAM])
+        eval_data = rbm.distinct_rows(ds.sample_bits(spec, rng, data.eval_size), spec.num_pixels)
     else:
         eval_data = None
     return spec, eval_data
@@ -420,33 +418,51 @@ def _fmt(value, width, digits=4) -> str:
     return f"{value:>{width}.{digits}f}"
 
 
+def _read_record(path) -> dict:
+    """The JSON object in `path`; a ValueError naming the path if the file
+    holds anything else."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(record).__name__}")
+    return record
+
+
 def summarize(output_dir, stream) -> int:
     """Print the per-label summary table; list missing files but still print
     whatever is available. `wall_s` is the mean measured seconds per seed:
-    the wall time of the label's lockstep group divided by its seeds."""
+    the wall time of the label's lockstep group divided by its seeds. A
+    manifest or summary that cannot be read is a ValueError naming it."""
     out_dir = Path(output_dir)
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {out_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_record(manifest_path)
+    labels, summaries = manifest.get("labels"), manifest.get("summaries")
+    if not isinstance(labels, list) or not isinstance(summaries, dict):
+        raise ValueError(f"{manifest_path}: expected a 'labels' list and a 'summaries' object")
 
     missing = []
     rows = []
-    for label in manifest["labels"]:
-        path = out_dir / manifest["summaries"].get(label, f"{label}__summary.json")
+    for label in labels:
+        path = out_dir / summaries.get(label, f"{label}__summary.json")
         if not path.exists():
             missing.append(path.name)
             continue
-        with open(path) as fh:
-            s = json.load(fh)
-        rows.append(
-            f"{s['label']:<28} {_fmt(s['final_loglik']['mean'], 12)} "
-            f"{_fmt(s['final_loglik']['stderr'], 11)} "
-            f"{_fmt(s['tau_hat']['mean'], 10, 1)} "
-            f"{_fmt(s['num_chains_mean'], 7, 1)} "
-            f"{_fmt(s['measured_seconds_mean'], 9, 1)}"
-        )
+        s = _read_record(path)
+        try:
+            rows.append(
+                f"{s['label']:<28} {_fmt(s['final_loglik']['mean'], 12)} "
+                f"{_fmt(s['final_loglik']['stderr'], 11)} "
+                f"{_fmt(s['tau_hat']['mean'], 10, 1)} "
+                f"{_fmt(s['num_chains_mean'], 7, 1)} "
+                f"{_fmt(s['measured_seconds_mean'], 9, 1)}"
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: not a label summary ({exc!r})") from None
     for name in missing:
         print(f"missing: {name}", file=stream)
     print(_TABLE_HEADER, file=stream)

@@ -33,6 +33,13 @@ _ENUM_BLOCK = 4096
 # rows read 6.2 MiB and were slower.
 _BLOCK_ENTRIES = 1 << 18
 
+# float64 entries (256 KiB) per slice of `_softplus`, so its exp(-|x|)
+# buffer is not a second copy of log Z's 1.5 MiB block at 28x28. With
+# `_chunk_terms` reusing one block buffer, one likelihood's peak fell from
+# 3.2 to 2.3 MiB and full-pt50's peak RSS by about 1 MiB; either alone
+# left both where they were.
+_SOFTPLUS_ENTRIES = 1 << 15
+
 # A multiple of the row tile of the BLAS product kernels: 16 in OpenBLAS's
 # SkylakeX DGEMM, 4 or 8 in others.
 _ROW_TILE = 16
@@ -268,14 +275,21 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     the formula np.logaddexp(0, x) evaluates, but with numpy's vectorised
     exp and log1p rather than one scalar libm call per entry, so a result
     may differ from logaddexp's by a few ulp. exp(-|x|) never overflows,
-    and +-inf give inf and 0 without a warning.
+    and +-inf give inf and 0 without a warning. Runs over slices of
+    `_SOFTPLUS_ENTRIES` entries along the first axis, so its exp(-|x|)
+    buffer is one slice; each entry gets the same operations.
     """
-    tail = np.abs(x)
-    np.negative(tail, out=tail)
-    np.exp(tail, out=tail)
-    np.log1p(tail, out=tail)
-    np.maximum(x, 0.0, out=x)
-    x += tail
+    step = max(1, _SOFTPLUS_ENTRIES * len(x) // max(x.size, 1))
+    tail = np.empty_like(x[:step])
+    for start in range(0, len(x), step):
+        part = x[start : start + step]
+        t = tail[: len(part)]
+        np.abs(part, out=t)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.maximum(part, 0.0, out=part)
+        part += t
     return x
 
 
@@ -353,11 +367,14 @@ def _chunk_terms(
 ) -> np.ndarray:
     """log of each enumerated state's summed-out weight,
     states @ bias_enum + sum_j softplus(states @ cross.T + bias_other)_j,
-    with the activations of `_block_rows` states held at a time."""
+    with the activations of `_block_rows` states held at a time, in one
+    buffer."""
     terms = states @ bias_enum
     step = _block_rows(cross.shape[0])
+    buffer = np.empty((min(step, states.shape[0]), cross.shape[0]))
     for start in range(0, states.shape[0], step):
-        act = states[start : start + step] @ cross.T
+        block = states[start : start + step]
+        act = np.matmul(block, cross.T, out=buffer[: block.shape[0]])
         act += bias_other
         terms[start : start + step] += _softplus(act).sum(axis=1)
     return terms
@@ -377,56 +394,73 @@ def free_energy(params: RbmParams, visible: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class DistinctRows:
     """A binary data set reduced to what its exact likelihood reads: the
-    distinct rows, (r, nv) bool, one byte per unit; how often each occurs,
-    (r,) float64 whole numbers summing to `size`; and their count-weighted
-    sum over rows, (nv,) float64, which is exact because it adds whole
-    numbers. Build it with `distinct_rows`; its arrays are read-only.
-    `exact_log_likelihood` reads the rows as float64 one block at a time.
+    distinct rows of `num_visible` units, packed eight units to a byte
+    (`np.packbits` along each row, zero padding bits), (r, ceil(nv / 8))
+    uint8, in order of first occurrence; how often each occurs, (r,)
+    float64 whole numbers summing to `size`; and their count-weighted sum
+    over rows, (nv,) float64, which is exact because it adds whole numbers.
+    Build it with `distinct_rows`; its arrays are read-only.
+    `exact_log_likelihood` unpacks the rows one block at a time.
     """
 
     rows: np.ndarray
     counts: np.ndarray
     visible_sum: np.ndarray
     size: int
+    num_visible: int
 
 
-def distinct_rows(data: np.ndarray) -> DistinctRows:
-    """An (m, nv) array of 0/1 rows, m >= 1, float or boolean, as a
-    DistinctRows; a ValueError for any other input. Rows are grouped by
-    their packed bits and kept as booleans.
+def distinct_rows(data: np.ndarray, num_visible: int | None = None) -> DistinctRows:
+    """m >= 1 binary rows as a DistinctRows; a ValueError for any other
+    input. Without `num_visible`, `data` is an (m, nv) array of 0/1 rows,
+    float or boolean, which is packed first. With it, `data` holds rows of
+    `num_visible` units already packed as `DistinctRows.rows` holds them,
+    as `dataset.sample_bits` draws them. Rows are grouped by their packed
+    bytes.
     """
     data = np.asarray(data)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError(f"data must be a matrix of at least one row, got shape {data.shape}")
-    bits = data
-    if data.dtype != bool:
+    if num_visible is None:
+        num_visible = data.shape[1]
         bits = data == 1
         # the rows are binary when the ones are all the nonzero entries
         if np.count_nonzero(bits) != np.count_nonzero(data):
             raise ValueError("data rows must hold only 0 and 1")
-    keys = np.packbits(bits, axis=1)
+        data = np.packbits(bits, axis=1)
+    else:
+        width = -(-num_visible // 8)
+        if num_visible < 1 or data.dtype != np.uint8 or data.shape[1] != width:
+            raise ValueError(
+                f"packed rows of {num_visible} units must be uint8 of {width} bytes, "
+                f"got {data.dtype} of {data.shape[1]}"
+            )
+        # the last byte's low bits pad the row
+        if (data[:, -1] & ((1 << (8 * width - num_visible)) - 1)).any():
+            raise ValueError("packed rows must have zero padding bits")
     # one opaque record per row, so np.unique compares whole rows bytewise
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    keys = data.view(np.dtype((np.void, data.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    # rows in order of first occurrence: the gather reads `bits` front to back
+    # rows in order of first occurrence: the gather reads `data` front to back
     order = first.argsort()
-    rows = bits[first[order]]
+    rows = data[first[order]]
     counts = counts[order].astype(np.float64)
-    # a block at a time, so only one block of rows is ever held as floats
-    visible_sum = np.zeros(rows.shape[1])
-    step = _block_rows(rows.shape[1])
+    # a block at a time, so only one block of rows is ever held unpacked
+    visible_sum = np.zeros(num_visible)
+    step = _block_rows(num_visible)
     for start in range(0, rows.shape[0], step):
-        visible_sum += counts[start : start + step] @ rows[start : start + step]
+        block = np.unpackbits(rows[start : start + step], axis=1, count=num_visible)
+        visible_sum += counts[start : start + step] @ block
     for array in (rows, counts, visible_sum):
         array.setflags(write=False)
-    return DistinctRows(rows, counts, visible_sum, data.shape[0])
+    return DistinctRows(rows, counts, visible_sum, data.shape[0], num_visible)
 
 
 def _row_products(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """weights @ rows.T as float64, (nh, r) rather than (r, nh), the faster
-    layout for BLAS: the rows, of any 0/1 dtype, are copied `_block_rows`
-    at a time into one float64 buffer, and each block's product fills its
-    columns.
+    layout for BLAS, from rows packed as `DistinctRows.rows` holds them:
+    the rows are unpacked `_block_rows` at a time into one float64 buffer,
+    and each block's product fills its columns.
 
     The last block ends at the last row, starts at a multiple of
     `_ROW_TILE` rows and may overlap the one before it. So no block is
@@ -437,14 +471,14 @@ def _row_products(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     OpenBLAS uses its general kernel, and an entry may differ in its last
     bit.
     """
-    r, nv = rows.shape
+    r, nv = rows.shape[0], weights.shape[1]
     step = min(_block_rows(nv), r)
     last = (r - step) // _ROW_TILE * _ROW_TILE
     block = np.empty((r - last, nv))
     out = np.empty((weights.shape[0], r))
     for start in [*range(0, last, step), last]:
         stop = start + step if start < last else r
-        np.copyto(block[: stop - start], rows[start:stop])
+        np.copyto(block[: stop - start], np.unpackbits(rows[start:stop], axis=1, count=nv))
         np.matmul(weights, block[: stop - start].T, out=out[:, start:stop])
     return out
 
@@ -460,7 +494,15 @@ def exact_log_likelihood(params: RbmParams, data: DistinctRows) -> float:
             f"data must be an rbm.DistinctRows (build one with rbm.distinct_rows), "
             f"got {type(data).__name__}"
         )
+    # log Z first, so an intractable model is reported as such
     log_z = exact_log_partition(params)
+    # packed rows of 1 to 8 units have the same width, so the product
+    # would not catch a mismatch
+    if data.num_visible != params.num_visible:
+        raise ValueError(
+            f"data rows have {data.num_visible} units, "
+            f"the model {params.num_visible} visible units"
+        )
     act = _row_products(params.weights, data.rows)
     act += params.hidden_bias[:, None]
     hidden_term = (_softplus(act) @ data.counts).sum()

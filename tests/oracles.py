@@ -12,8 +12,11 @@ reproduce their output bit for bit.
 
 The `unblocked_*` functions are the exact partition function and likelihood
 as they stood before the library streamed them in blocks: one product over
-all distinct rows, one over each chunk of states, scipy's logsumexp. The
-blocked forms must reproduce them bit for bit.
+all distinct rows, one over each chunk of states, one softplus over each
+product, scipy's logsumexp. The blocked forms must reproduce them bit for
+bit. `boolean_distinct_rows` is the snapshot reduction as it stood before
+the library kept the rows packed, and `unpacked_rows` reads packed rows
+back as booleans.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from rbmpt.rbm import (
     IntractableModelError,
     RbmParams,
     _bit_patterns,
-    _softplus,
+    _block_rows,
     energies,
 )
 from rbmpt.tempering import (
@@ -172,21 +175,57 @@ def unblocked_chunk_terms(states, bias_enum, cross, bias_other) -> np.ndarray:
     act = states @ cross.T
     act += bias_other
     terms = states @ bias_enum
-    terms += _softplus(act).sum(axis=1)
+    terms += whole_softplus(act).sum(axis=1)
     return terms
 
 
 def unblocked_exact_log_likelihood(params: RbmParams, data: DistinctRows) -> float:
     """Mean log p(v) over `data` with every distinct row in one product, the
-    rows held as float64; the library's form before it streamed the rows in
-    blocks."""
-    rows = data.rows.astype(np.float64)
+    rows unpacked and held as float64; the library's form before it
+    streamed the rows in blocks."""
+    rows = unpacked_rows(data).astype(np.float64)
     log_z = unblocked_exact_log_partition(params)
     # (nh, r) rather than (r, nh): the faster layout for BLAS, the same bits
     act = params.weights @ rows.T
     act += params.hidden_bias[:, None]
-    hidden_term = (_softplus(act) @ data.counts).sum()
+    hidden_term = (whole_softplus(act) @ data.counts).sum()
     return float((hidden_term + data.visible_sum @ params.visible_bias) / data.size - log_z)
+
+
+def whole_softplus(x: np.ndarray) -> np.ndarray:
+    """The library's softplus formula in place on all of `x` at once,
+    max(x, 0) + log1p(exp(-|x|)), as it stood before it ran in slices."""
+    tail = np.abs(x)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.maximum(x, 0.0, out=x)
+    x += tail
+    return x
+
+
+def unpacked_rows(data: DistinctRows) -> np.ndarray:
+    """The distinct rows of `data` as an (r, nv) boolean array."""
+    return np.unpackbits(data.rows, axis=1, count=data.num_visible).astype(bool)
+
+
+def boolean_distinct_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, counts, visible_sum) of an (m, nv) array of 0/1 rows as the
+    library built them before it kept the rows packed: the distinct rows as
+    booleans in order of first occurrence, their counts as float64, and the
+    count-weighted sum of the rows summed `_block_rows` rows at a time."""
+    bits = np.asarray(data) == 1
+    keys = np.packbits(bits, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = first.argsort()
+    rows = bits[first[order]]
+    counts = counts[order].astype(np.float64)
+    visible_sum = np.zeros(rows.shape[1])
+    step = _block_rows(rows.shape[1])
+    for start in range(0, rows.shape[0], step):
+        visible_sum += counts[start : start + step] @ rows[start : start + step]
+    return rows, counts, visible_sum
 
 
 def random_params(rng: np.random.Generator, num_visible: int, num_hidden: int, scale: float = 1.0) -> RbmParams:

@@ -235,6 +235,25 @@ class TestSummarize:
     def test_missing_manifest_is_runtime_error(self, tmp_path):
         assert run_cli(["summarize", str(tmp_path)]) == cli.RUNTIME_ERROR
 
+    @pytest.mark.parametrize(
+        "text",
+        ["not json", '{"summaries": {}}', '{"labels": ["run"]}', "[1]"],
+        ids=["not json", "no labels", "no summaries", "not an object"],
+    )
+    def test_unreadable_manifest_is_runtime_error(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert run_cli(["summarize", str(tmp_path)]) == cli.RUNTIME_ERROR
+        assert capsys.readouterr().err.startswith(f"rbmpt: failed: {manifest}: ")
+
+    def test_unreadable_summary_is_runtime_error(self, tmp_path, capsys):
+        out = self.make_outputs(tmp_path)
+        summary = out / "run__summary.json"
+        for text in ("{", '{"label": "run"}'):
+            summary.write_text(text)
+            assert run_cli(["summarize", str(out)]) == cli.RUNTIME_ERROR
+            assert capsys.readouterr().err.startswith(f"rbmpt: failed: {summary}: ")
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
@@ -467,6 +486,10 @@ BAD_SETTINGS = {
     ),
     "label with a slash": lambda d: (tiny_train_args(d / "out", ("--label", "a/b")), d / "out"),
     "empty label": lambda d: (tiny_train_args(d / "out", ("--label", "")), d / "out"),
+    "unterminated quote in file": lambda d: (
+        tiny_train_args(d / "out", ("--config", write_config(d / "c.cfg", 'label = "run#1\n'))),
+        d / "out",
+    ),
     "label with a slash in file": lambda d: (
         tiny_train_args(d / "out", ("--config", write_config(d / "c.cfg", "label = a/b\n"))),
         d / "out",
@@ -505,6 +528,23 @@ class TestSettings:
         cfg = write_config(tmp_path / "run.cfg", "updates = 4.5\n")
         assert exit_code(["train", "--config", cfg, "--out", str(tmp_path)]) == cli.USAGE_ERROR
         assert f"{cfg}:1" in capsys.readouterr().err
+
+    def test_hash_inside_quotes_is_kept(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.cfg", 'label = "run#1"  # a comment\nlr = 1 # another\n# label = x\n'
+        )
+        args = cli.build_parser().parse_args(["train", "--config", cfg])
+        run = cli.train_plan(args).runs[0]
+        assert run.label == "run#1"
+        assert run.config.learning_rate == 1.0
+        cfg = write_config(tmp_path / "d.cfg", "label = '#'#'\n")
+        assert cli.read_config_file(cfg, "train") == {"label": "#"}
+
+    def test_unterminated_quote_names_file_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", "updates = 4\nlabel = 'run # one\n")
+        assert exit_code(["train", "--config", cfg, "--out", str(tmp_path)]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "unterminated" in err
 
     def test_flags_and_file_apply_to_plan(self, tmp_path):
         # flag over file over plan: updates from the flag, hidden from the

@@ -3,7 +3,7 @@ import pytest
 
 from rbmpt import dataset
 
-from oracles import reference_sample_batch, total_variation
+from oracles import reference_sample_batch, same_bits, total_variation
 
 
 def toy_spec(num_components=3, width=4, seed=30, flip=(0.1, 0.25, 0.4)):
@@ -81,6 +81,17 @@ class TestSampling:
                     assert got.dtype == np.float64
                     assert np.array_equal(got, want)
                     assert got_rng.random() == want_rng.random()
+
+    def test_sample_bits_are_the_packed_batch(self):
+        # ragged last block and a ragged last byte
+        spec = dataset.default_spec(np.random.default_rng(3), image_side=5)
+        n = 2 * dataset._BITS_BLOCK + 37
+        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = dataset.sample_bits(spec, got_rng, n)
+        want = dataset.sample_batch(spec, want_rng, n)
+        assert got.dtype == np.uint8
+        assert same_bits(got, np.packbits(want == 1, axis=1))
+        assert got_rng.random() == want_rng.random()
 
     def test_batch_sampler_exposes_width(self):
         sampler = dataset.BatchSampler(toy_spec())

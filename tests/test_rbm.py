@@ -12,6 +12,7 @@ from scipy.special import expit, logsumexp
 from rbmpt import dataset, experiment, rbm
 
 from oracles import (
+    boolean_distinct_rows,
     brute_log_partition,
     brute_log_pv,
     brute_joint_distribution,
@@ -26,6 +27,7 @@ from oracles import (
     unblocked_chunk_terms,
     unblocked_exact_log_likelihood,
     unblocked_exact_log_partition,
+    unpacked_rows,
 )
 
 
@@ -384,9 +386,10 @@ class TestDistinctRows:
     def test_real_snapshot(self, scale):
         raw, eval_rows = eval_snapshot(SNAPSHOT_SHAPES[scale][0])
         assert isinstance(eval_rows, rbm.DistinctRows)
-        assert eval_rows.rows.dtype == bool
+        assert eval_rows.rows.dtype == np.uint8
+        assert eval_rows.num_visible == raw.shape[1]
         assert eval_rows.size == raw.shape[0] == eval_rows.counts.sum()
-        keys = [row.tobytes() for row in eval_rows.rows]
+        keys = [row.tobytes() for row in unpacked_rows(eval_rows)]
         assert len(set(keys)) == len(keys)  # no row repeats
         # every snapshot row is present, with its multiplicity
         want = collections.Counter((row == 1).tobytes() for row in raw)
@@ -406,7 +409,7 @@ class TestDistinctRows:
         a, b, c, d = np.zeros(9), np.eye(9)[8], np.eye(9)[0], np.ones(9)
         data = np.array([a, b, a, c, b, a, d])
         eval_rows = rbm.distinct_rows(data)
-        assert same_bits(eval_rows.rows, np.array([a, b, c, d]) == 1)
+        assert same_bits(unpacked_rows(eval_rows), np.array([a, b, c, d]) == 1)
         assert same_bits(eval_rows.counts, np.array([3.0, 2.0, 1.0, 1.0]))
         assert same_bits(eval_rows.visible_sum, data.sum(axis=0))
 
@@ -422,6 +425,44 @@ class TestDistinctRows:
     def test_rejects_anything_but_binary_rows(self, data):
         with pytest.raises(ValueError):
             rbm.distinct_rows(np.array(data, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "packed, num_visible",
+        [
+            (np.zeros((2, 2), dtype=np.uint8), 7),  # 7 units fill one byte
+            (np.zeros((2, 1), dtype=np.uint8), 9),  # 9 units need two
+            (np.zeros((2, 1)), 8),  # float, not bytes
+            (np.zeros((2, 1), dtype=bool), 8),
+            (np.array([[0b1], [0]], dtype=np.uint8), 7),  # the padding bit set
+            (np.array([[0, 0b1]], dtype=np.uint8), 9),
+            (np.zeros((2, 0), dtype=np.uint8), 0),
+        ],
+        ids=["too wide", "too narrow", "float", "bool", "padding", "padding-9", "no units"],
+    )
+    def test_rejects_bad_packed_rows(self, packed, num_visible):
+        with pytest.raises(ValueError):
+            rbm.distinct_rows(packed, num_visible)
+
+    @pytest.mark.parametrize("nv", [1, 9, 64, 784])
+    def test_packed_round_trip(self, nv):
+        # repeated rows, so the order of first occurrence matters
+        rng = np.random.default_rng(nv)
+        data = rng.random((300, nv)) < rng.uniform(0.05, 0.5, nv)
+        data = np.concatenate([data, data[rng.integers(0, 300, 200)]])
+        want_rows, want_counts, want_sum = boolean_distinct_rows(data)
+        packed = np.packbits(data, axis=1)
+        for got in (
+            rbm.distinct_rows(data),
+            rbm.distinct_rows(data.astype(np.float64)),
+            rbm.distinct_rows(packed, nv),
+        ):
+            assert got.num_visible == nv and got.size == data.shape[0]
+            assert got.rows.shape == (want_rows.shape[0], -(-nv // 8))
+            assert same_bits(unpacked_rows(got), want_rows)
+            assert same_bits(got.counts, want_counts)
+            assert same_bits(got.visible_sum, want_sum)
+            # the padding bits are zero: packing the unpacked rows gives them back
+            assert same_bits(np.packbits(unpacked_rows(got), axis=1), got.rows)
 
 
 class TestLikelihoodOnDistinctRows:
@@ -439,9 +480,17 @@ class TestLikelihoodOnDistinctRows:
         with pytest.raises(rbm.IntractableModelError):
             rbm.exact_log_likelihood(p, rbm.distinct_rows(np.zeros((2, 7))))
 
+    def test_width_mismatch_names_both_widths(self):
+        # packed rows of 7 and of 8 units are one byte wide alike
+        p = random_params(np.random.default_rng(24), 8, 3)
+        data = rbm.distinct_rows(np.eye(7))
+        assert data.rows.shape[1] == 1
+        with pytest.raises(ValueError, match="data rows have 7 units, the model 8 visible"):
+            rbm.exact_log_likelihood(p, data)
+
 
 def one_call_products(weights, rows):
-    """weights @ rows.T in one product, the rows as float64."""
+    """weights @ rows.T in one product, the unpacked rows as float64."""
     return weights @ rows.astype(np.float64).T
 
 
@@ -458,7 +507,7 @@ class TestBlockedEvaluation:
             p = random_params(np.random.default_rng(seed), image_side**2, nh, scale=weight_scale)
             assert same_bits(
                 rbm._row_products(p.weights, eval_rows.rows),
-                one_call_products(p.weights, eval_rows.rows),
+                one_call_products(p.weights, unpacked_rows(eval_rows)),
             )
             assert same_bits(
                 rbm.exact_log_likelihood(p, eval_rows), unblocked_exact_log_likelihood(p, eval_rows)
@@ -481,7 +530,7 @@ class TestBlockedEvaluation:
             p = random_params(rng, nv, nh, scale=weight_scale)
             assert same_bits(
                 rbm._row_products(p.weights, eval_rows.rows),
-                one_call_products(p.weights, eval_rows.rows),
+                one_call_products(p.weights, unpacked_rows(eval_rows)),
             )
             assert same_bits(
                 rbm.exact_log_likelihood(p, eval_rows), unblocked_exact_log_likelihood(p, eval_rows)
@@ -495,7 +544,8 @@ class TestBlockedEvaluation:
         for count in (block + 17, 2 * block + 3, 6912):
             rows = rng.random((count, nv)) < 0.5
             weights = rng.uniform(-0.3, 0.3, (nh, nv))
-            assert same_bits(rbm._row_products(weights, rows), one_call_products(weights, rows))
+            packed = np.packbits(rows, axis=1)
+            assert same_bits(rbm._row_products(weights, packed), one_call_products(weights, rows))
 
     @pytest.mark.parametrize("n_enum", range(1, 14))
     def test_log_partition(self, n_enum):
@@ -567,24 +617,26 @@ def traced(fn, *args):
 
 class TestEvalMemory:
     """Allocation sizes are deterministic, so these bounds are not timings.
-    The one-call forms with float64 rows read 55.8 and 41.4 MiB for the
-    snapshot and 12.3 MiB for the likelihood."""
+    With packed rows the snapshot peaks at 4.2 MiB and keeps 0.7 MiB, and
+    the likelihood peaks at 2.3 MiB. Boolean rows read 16.0 and 5.3 MiB for
+    the snapshot and 3.2 MiB for the likelihood; the one-call forms with
+    float64 rows 55.8, 41.4 and 12.3 MiB."""
 
     MIB = 1 << 20
 
     def test_full_snapshot(self):
         data = experiment.DatasetSettings(image_side=28, eval_size=10_000)
         (_, eval_rows), kept, peak = traced(experiment.build_dataset, data)
-        assert eval_rows.rows.shape == (6912, 784)
-        assert peak < 24 * self.MIB
-        assert kept < 8 * self.MIB
+        assert eval_rows.rows.shape == (6912, 98)
+        assert peak < 6 * self.MIB
+        assert kept < 1.5 * self.MIB
 
     def test_full_likelihood(self):
         image_side, nh, weight_scale = SNAPSHOT_SHAPES["full"]
         eval_rows = distinct_snapshot(image_side)
         p = random_params(np.random.default_rng(61), image_side**2, nh, scale=weight_scale)
         _, _, peak = traced(rbm.exact_log_likelihood, p, eval_rows)
-        assert peak < 8 * self.MIB
+        assert peak < 3 * self.MIB
 
 
 class TestSoftplus:
