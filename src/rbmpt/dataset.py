@@ -66,11 +66,9 @@ def default_spec(rng: np.random.Generator, image_side: int = 28) -> MixtureSpec:
     """The default five-component benchmark with seed-derived prototypes.
 
     Prototypes are i.i.d. fair-coin binary images of `image_side` squared
-    pixels; weights are renormalized defensively (a no-op for the default
-    constants).
+    pixels.
     """
     weights = np.array(MIXTURE_WEIGHTS)
-    weights = weights / weights.sum()
     d = image_side * image_side
     prototypes = (rng.random((len(weights), d)) < 0.5).astype(np.float64)
     return MixtureSpec(prototypes, weights, np.array(MIXTURE_FLIP_PROBS))

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import rbm
+from .adaptation import AdaptationConfig
 from .training import TrainConfig, train_lockstep, write_metrics_csv
 
 logger = logging.getLogger(__name__)
@@ -133,10 +134,14 @@ def plan_from_dict(record: dict) -> ExperimentPlan:
         # a missing key reads as None, which no type check passes
         label = _typed(entry.get("label"), str, "run key 'label'")
         seeds = _typed(entry.get("seeds"), list, f"seeds of {label!r}")
+        config = config_from_dict(entry.get("config"))
+        # each replicate seed replaces the config's, which would be ignored
+        if "seed" in entry["config"]:
+            raise ValueError(f"run {label!r}: a config 'seed' is ignored; list it in 'seeds'")
         runs.append(
             PlannedRun(
                 label=label,
-                config=config_from_dict(entry.get("config")),
+                config=config,
                 seeds=[_typed(seed, int, f"seeds of {label!r}") for seed in seeds],
             )
         )
@@ -183,12 +188,20 @@ def _replacing(path: Path):
         raise
 
 
-def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) -> list[dict]:
+def _write_json(path: Path, record: dict) -> None:
+    with _replacing(path) as tmp, open(tmp, "w") as fh:
+        json.dump(record, fh, indent=2)
+
+
+def execute_run(
+    planned: PlannedRun, data: DatasetSettings, dataset, out_dir
+) -> tuple[list[dict], str]:
     """Train `planned`'s replicate seeds in lockstep on `dataset`, the
-    `build_dataset(data)` pair, and persist each seed's artifacts; returns
-    their manifest entries. A seed's `measured_seconds` is the group's wall
-    time divided by the number of seeds, and its sidecar's `group_size`
-    says how many seeds shared it."""
+    `build_dataset(data)` pair, and write each seed's artifacts and the
+    label's summary, computed from the sidecar records in memory; returns
+    the seeds' manifest entries and the summary's file name. A seed's
+    `measured_seconds` is the group's wall time divided by the number of
+    seeds, and its sidecar's `group_size` says how many seeds shared it."""
     out_dir = Path(out_dir)
     spec, eval_data = dataset
     configs = [dataclasses.replace(planned.config, seed=seed) for seed in planned.seeds]
@@ -197,7 +210,7 @@ def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) ->
     elapsed = time.perf_counter() - started
     logger.info("%s: %d seeds finished in %.1fs", planned.label, len(configs), elapsed)
 
-    entries = []
+    entries, sidecars = [], []
     for result in results:
         config = result.config
         stem = run_stem(planned.label, config.seed)
@@ -230,8 +243,8 @@ def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) ->
             "measured_seconds": elapsed / len(configs),
             "group_size": len(configs),
         }
-        with _replacing(sidecar_path) as tmp, open(tmp, "w") as fh:
-            json.dump(sidecar, fh, indent=2)
+        _write_json(sidecar_path, sidecar)
+        sidecars.append(sidecar)
         entries.append(
             {
                 "label": planned.label,
@@ -241,7 +254,9 @@ def execute_run(planned: PlannedRun, data: DatasetSettings, dataset, out_dir) ->
                 "params": params_path.name,
             }
         )
-    return entries
+    summary_path = out_dir / f"{planned.label}__summary.json"
+    _write_json(summary_path, summarize_label(planned.label, sidecars))
+    return entries, summary_path.name
 
 
 # One BLAS thread per pool worker: with one worker per CPU, BLAS's default
@@ -273,30 +288,28 @@ def _init_worker(data: DatasetSettings, out_dir: Path) -> None:
     _worker_context = (data, build_dataset(data), out_dir)
 
 
-def _worker(planned: PlannedRun) -> list[dict]:
+def _worker(planned: PlannedRun) -> tuple[list[dict], str]:
     data, dataset, out_dir = _worker_context
     return execute_run(planned, data, dataset, out_dir)
 
 
+def _finite(values: list[float]) -> list[float]:
+    return [v for v in values if v is not None and np.isfinite(v)]
+
+
 def _sem(values: list[float]) -> float:
-    clean = [v for v in values if v is not None and np.isfinite(v)]
-    if len(clean) < 2:
-        return 0.0
-    return float(np.std(clean, ddof=1) / np.sqrt(len(clean)))
+    clean = _finite(values)
+    return float(np.std(clean, ddof=1) / np.sqrt(len(clean))) if len(clean) > 1 else 0.0
 
 
 def _mean(values: list[float]) -> float | None:
-    clean = [v for v in values if v is not None and np.isfinite(v)]
-    if not clean:
-        return None
-    return float(np.mean(clean))
+    clean = _finite(values)
+    return float(np.mean(clean)) if clean else None
 
 
 def _median(values: list[float]) -> float | None:
-    clean = [v for v in values if v is not None and np.isfinite(v)]
-    if not clean:
-        return None
-    return float(np.median(clean))
+    clean = _finite(values)
+    return float(np.median(clean)) if clean else None
 
 
 def summarize_label(label: str, sidecars: list[dict]) -> dict:
@@ -329,12 +342,13 @@ def summarize_label(label: str, sidecars: list[dict]) -> dict:
 
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
-    """Execute every run in the plan and write summaries plus the manifest.
+    """Execute every run in the plan, then write the manifest.
 
-    Each planned run trains its seeds in lockstep (`execute_run`). With
-    jobs > 1 the planned runs go to a pool of that many spawned worker
-    processes, each with one BLAS thread; a script that calls this must
-    guard its entry point with `if __name__ == "__main__":`.
+    Each planned run is one `execute_run` task, which trains its seeds in
+    lockstep and writes their artifacts and the label's summary. With
+    jobs > 1 the tasks go to a pool of that many spawned worker processes,
+    each with one BLAS thread; a script that calls this must guard its entry
+    point with `if __name__ == "__main__":`.
 
     A planned run that raises loses only its own seeds: their manifest
     entries record the error, every other run finishes and gets its summary,
@@ -344,7 +358,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # every run shares one dataset: built once here, or once per worker process
-    outcomes: list[list[dict] | Exception] = []
+    outcomes: list[tuple[list[dict], str] | Exception] = []
     if jobs > 1 and len(plan.runs) > 1:
         # spawned workers are fresh interpreters, which read the BLAS thread
         # settings when they import numpy
@@ -380,16 +394,8 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
             ]
             failures.append(f"{planned.label} ({error})")
             continue
-        entries += outcome
-        sidecars = []
-        for seed in planned.seeds:
-            with open(out_dir / f"{run_stem(planned.label, seed)}.json") as fh:
-                sidecars.append(json.load(fh))
-        summary = summarize_label(planned.label, sidecars)
-        summary_path = out_dir / f"{planned.label}__summary.json"
-        with _replacing(summary_path) as tmp, open(tmp, "w") as fh:
-            json.dump(summary, fh, indent=2)
-        summaries[planned.label] = summary_path.name
+        run_entries, summaries[planned.label] = outcome
+        entries += run_entries
 
     manifest = {
         "dataset": dataclasses.asdict(plan.data),
@@ -397,8 +403,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
         "runs": entries,
         "summaries": summaries,
     }
-    with _replacing(out_dir / MANIFEST_NAME) as tmp, open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    _write_json(out_dir / MANIFEST_NAME, manifest)
     if failures:
         raise RuntimeError(
             f"{len(failures)} of {len(plan.runs)} planned runs failed: " + "; ".join(failures)
@@ -472,11 +477,7 @@ def summarize(output_dir, stream) -> int:
 
 
 def comparison_plan(
-    output_dir,
-    scale: str = "full",
-    num_seeds: int = 5,
-    grid: bool = False,
-    base: TrainConfig | None = None,
+    output_dir, scale: str = "full", num_seeds: int = 5, grid: bool = False
 ) -> ExperimentPlan:
     """The benchmark comparison: one persistent chain vs fixed ladders of
     10/20/50 chains vs the adaptive ladder started at 10 chains.
@@ -497,23 +498,14 @@ def comparison_plan(
                      eval_interval=500)
     else:
         raise ValueError("scale must be 'full' or 'ci'")
-    if base is None:
-        base = TrainConfig()
     seeds = list(range(num_seeds))
 
-    def cfg(algorithm, chains, lr, beta_lr=None):
-        adaptation = dataclasses.replace(
-            base.adaptation,
-            beta_learning_rate=(
-                beta_lr if beta_lr is not None else base.adaptation.beta_learning_rate
-            ),
-        )
-        return dataclasses.replace(
-            base,
+    def cfg(algorithm, chains, lr, beta_lr=1e-4):
+        return TrainConfig(
             algorithm=algorithm,
             initial_num_chains=chains,
             learning_rate=lr,
-            adaptation=adaptation,
+            adaptation=AdaptationConfig(beta_learning_rate=beta_lr),
             **shape,
         )
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,17 @@ class TestTrainCommand:
         assert (tmp_path / "envout" / "run__seed3.csv").exists()
 
 
+# sha256 of each preset plan's fields, as sorted-key JSON of
+# `dataclasses.asdict(plan)`. Re-record a digest only when that preset is
+# changed on purpose.
+PRESET_DIGESTS = {
+    ("ci", False): "8bb79d13f3f31260ebfe27687659008b1069f4b487ff80b4adab6ea0800293f7",
+    ("ci", True): "3e7257f077bf30a7a829d34580063f1c613da40ff1031baba689e05698c2244c",
+    ("full", False): "63d210cae3ec300197488686b586d099527eb77243c59fc2c9f85bae0c78129e",
+    ("full", True): "760370f0e988c50aa9d60fd8fd16126a0e07cf17872564d25f9f4e7b25350efc",
+}
+
+
 class TestGridCommand:
     def test_comparison_preset_file_counts(self, tmp_path):
         out = tmp_path / "grid"
@@ -166,6 +178,12 @@ class TestGridCommand:
         labels = [run.label for run in plan.runs]
         assert len(labels) == 14  # 2 sml + 6 fixed-ladder + 6 adaptive cells
         assert len(set(labels)) == 14
+
+    @pytest.mark.parametrize("scale, grid", list(PRESET_DIGESTS), ids=str)
+    def test_presets_are_pinned(self, scale, grid):
+        plan = experiment.comparison_plan("out", scale=scale, grid=grid)
+        text = json.dumps(dataclasses.asdict(plan), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PRESET_DIGESTS[scale, grid]
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert run_cli(["grid", "--out", str(tmp_path)]) == cli.USAGE_ERROR
@@ -507,6 +525,10 @@ BAD_SETTINGS = {
          "--out", str(d / "out")],
         d / "out",
     ),
+    "seed in plan config": lambda d: (
+        ["grid", "--plan", write_plan(d / "p.json", config={"seed": 7}), "--out", str(d / "out")],
+        d / "out",
+    ),
 }
 
 
@@ -539,6 +561,14 @@ class TestSettings:
         assert run.config.learning_rate == 1.0
         cfg = write_config(tmp_path / "d.cfg", "label = '#'#'\n")
         assert cli.read_config_file(cfg, "train") == {"label": "#"}
+
+    def test_plan_config_seed_names_run_and_seeds(self, tmp_path, capsys):
+        plan = write_plan(tmp_path / "p.json", config={"seed": 7}, label="a")
+        assert exit_code(["grid", "--plan", plan, "--out", str(tmp_path)]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "'a'" in err and "'seeds'" in err
+        # a config outside a plan run keeps its seed
+        assert experiment.config_from_dict({"seed": 7}).seed == 7
 
     def test_unterminated_quote_names_file_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", "updates = 4\nlabel = 'run # one\n")

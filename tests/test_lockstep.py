@@ -283,3 +283,28 @@ def test_failing_label_keeps_the_other_labels(tmp_path, monkeypatch):
         for seed in (0, 1):
             assert (out / f"{label}__seed{seed}.csv").exists()
     assert not list(out.glob("sml-pt-20*"))
+
+
+@pytest.mark.parametrize("eval_size", [20, 0], ids=["loglik", "no-loglik"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_grid_summary_is_the_sidecars_summary(jobs, eval_size, tmp_path):
+    # each label's task writes its summary from the sidecar records it holds
+    # in memory; the file must be what the sidecars give once read back
+    labels = ("diverging", "sml-apt")
+    plan = experiment.ExperimentPlan(
+        [experiment.PlannedRun(label, LOCKSTEP_CASES[label], list(LOCKSTEP_SEEDS))
+         for label in labels],
+        data=experiment.DatasetSettings(image_side=3, eval_size=eval_size),
+        output_dir=str(tmp_path),
+    )
+    assert experiment.run_experiment(plan, jobs=jobs) == 0
+    manifest = json.loads((tmp_path / experiment.MANIFEST_NAME).read_text())
+    for label in labels:
+        sidecars = [json.loads((tmp_path / f"{label}__seed{seed}.json").read_text())
+                    for seed in LOCKSTEP_SEEDS]
+        expected = json.dumps(experiment.summarize_label(label, sidecars), indent=2)
+        assert (tmp_path / manifest["summaries"][label]).read_text() == expected
+    summary = json.loads((tmp_path / "diverging__summary.json").read_text())
+    assert 0 < len(summary["diverged_seeds"]) < len(LOCKSTEP_SEEDS)
+    if eval_size == 0:
+        assert summary["final_loglik"]["mean"] is None
