@@ -12,7 +12,6 @@ at 1 and 0.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,10 +73,16 @@ def _interior_levels(m: int) -> np.ndarray:
 
 
 def _interior_targets(betas, f: list[float]) -> np.ndarray:
-    """Equal-mass targets of the interior slots of a ladder of m >= 3 betas.
+    """Equal-mass targets of the interior slots of a ladder of m >= 3 betas:
+    the betas at which the interpolant of f_up over beta hits the levels
+    1 - i/(m-1), 0 < i < m-1, so that f_up becomes linear in the chain index.
+    `adapt_betas` steps toward them; at `beta_learning_rate` 1 the interior
+    betas become the targets, up to its `MIN_BETA_GAP` projection.
 
-    Pins the ends of `f` (a list of Python floats, clamped in place) to 1 and
-    0, clamps it to be strictly decreasing, then inverts its interpolant.
+    `f` is the measured f_up as a list of Python floats, clamped in place:
+    its ends are pinned to 1 and 0, then a running minimum with an
+    `_STRICT_EPS` tie-break makes it strictly decreasing, so that its
+    interpolant can be inverted.
     """
     m = len(f)
     f[0] = 1.0
@@ -88,25 +93,6 @@ def _interior_targets(betas, f: list[float]) -> np.ndarray:
         x, y = f[i], prev - _STRICT_EPS
         prev = f[i] = y if y < x else x
     return np.interp(_interior_levels(m), f[::-1], betas[::-1])
-
-
-def optimal_betas(betas: np.ndarray, fup: np.ndarray) -> np.ndarray:
-    """Equal-mass ladder: betas at which the f_up interpolant hits the levels
-    1 - i/(M-1), so that f_up becomes linear in the chain index.
-
-    The measured f_up is clamped to be strictly decreasing (running-minimum
-    isotonic clamp with an epsilon tie-break) before inversion; endpoints are
-    returned unchanged.
-    """
-    betas = np.asarray(betas, dtype=np.float64)
-    # Python floats (IEEE doubles, as numpy scalars are) for the sequential clamp
-    f = np.asarray(fup, dtype=np.float64).tolist()
-    if not all(map(math.isfinite, f)):
-        raise ValueError("f_up contains non-finite entries")
-    targets = betas.copy()
-    if betas.shape[0] > 2:
-        targets[1:-1] = _interior_targets(betas, f)
-    return targets
 
 
 def adapt_betas(ensemble: Ensemble, config: AdaptationConfig) -> None:

@@ -319,15 +319,18 @@ def summarize_label(label: str, sidecars: list[dict]) -> dict:
     likelihood; the location statistics are over the surviving values.
     """
     logliks = [sc["final"]["train_loglik"] for sc in sidecars]
+    diverged = [sc.get("diverged_at") is not None for sc in sidecars]
+    # a diverged run's last likelihood is that of the parameters it stopped at
+    surviving = [value for value, gone in zip(logliks, diverged) if not gone]
     taus = [sc["final"]["tau_hat"] for sc in sidecars]
     return {
         "label": label,
         "seeds": [sc["seed"] for sc in sidecars],
         "final_loglik": {
             "values": logliks,
-            "mean": _mean(logliks),
-            "stderr": _sem(logliks),
-            "median": _median(logliks),
+            "mean": _mean(surviving),
+            "stderr": _sem(surviving),
+            "median": _median(surviving),
         },
         "tau_hat": {"values": taus, "mean": _mean(taus), "stderr": _sem(taus)},
         "num_chains_mean": _mean([sc["final"]["num_chains"] for sc in sidecars]),
@@ -335,9 +338,7 @@ def summarize_label(label: str, sidecars: list[dict]) -> dict:
         "modeled_seconds_mean": _mean(
             [sc["final"]["modeled_seconds"] for sc in sidecars]
         ),
-        "diverged_seeds": [
-            sc["seed"] for sc in sidecars if sc.get("diverged_at") is not None
-        ],
+        "diverged_seeds": [sc["seed"] for sc, gone in zip(sidecars, diverged) if gone],
     }
 
 

@@ -26,23 +26,17 @@ EXACT_LAYER_CAP = 25
 # log-sum-exp.
 _ENUM_BLOCK = 4096
 
-# float64 entries (2 MiB) per block when the exact likelihood streams its rows
-# and log Z fills a chunk's terms (see `_block_rows`). At 28x28 that is 256
-# rows or states: the exact likelihood then took the time of the one-call form
-# (about 12 ms on a 2-vCPU Xeon) and its peak fell from 12.3 to 3.1 MiB; 512
-# rows read 6.2 MiB and were slower.
-_BLOCK_ENTRIES = 1 << 18
+# Multiply-adds per blocked BLAS product (see `_block_rows`). OpenBLAS gives
+# a matrix product one thread per 2^18 multiply-adds, so it runs one below
+# 2^19 on a single thread at any thread count: a blocked product then has
+# the same bits whatever OPENBLAS_NUM_THREADS is, and a `--jobs N` worker,
+# which runs one thread, writes the likelihoods of a `--jobs 1` run.
+_BLOCK_MACS = 1 << 19
 
 # float64 entries (256 KiB) per slice of `_softplus`, so its exp(-|x|)
-# buffer is not a second copy of log Z's 1.5 MiB block at 28x28. With
-# `_chunk_terms` reusing one block buffer, one likelihood's peak fell from
-# 3.2 to 2.3 MiB and full-pt50's peak RSS by about 1 MiB; either alone
-# left both where they were.
+# buffer is one slice, not a second copy of the likelihood's (nh, r)
+# activation.
 _SOFTPLUS_ENTRIES = 1 << 15
-
-# A multiple of the row tile of the BLAS product kernels: 16 in OpenBLAS's
-# SkylakeX DGEMM, 4 or 8 in others.
-_ROW_TILE = 16
 
 # Entries from which the Gibbs kernel's logistic uses numpy's vectorised exp
 # rather than scipy's expit, whose loop calls scalar libm exp per entry. Timed
@@ -299,18 +293,11 @@ def _bit_patterns(n: int, start: int, stop: int) -> np.ndarray:
     return ((idx >> np.arange(n)) & 1).astype(np.float64)
 
 
-def _block_rows(width: int) -> int:
-    """Rows of `width` entries per block: the largest power of two whose
-    block holds at most `_BLOCK_ENTRIES` entries, but never fewer than 256.
-
-    A BLAS may pick its kernel, and with it the rounding, by the shape of a
-    product: OpenBLAS has kernels of its own for products of up to about a
-    million multiply-adds. A block is a power of two, so it divides a chunk
-    of states and is a multiple of `_ROW_TILE`; from 256 rows on, a blocked
-    product at the presets' shapes takes the one-call product's kernel, so
-    each entry keeps its bits.
-    """
-    return 1 << max(8, (_BLOCK_ENTRIES // width).bit_length() - 1)
+def _block_rows(row_macs: int) -> int:
+    """Rows per block of a product that takes `row_macs` multiply-adds per
+    row: the largest power of two whose block takes fewer than
+    `_BLOCK_MACS`, and at least 1."""
+    return 1 << max(0, ((_BLOCK_MACS - 1) // row_macs).bit_length() - 1)
 
 
 def _logsumexp(a: np.ndarray) -> np.float64:
@@ -370,7 +357,7 @@ def _chunk_terms(
     with the activations of `_block_rows` states held at a time, in one
     buffer."""
     terms = states @ bias_enum
-    step = _block_rows(cross.shape[0])
+    step = _block_rows(cross.size)
     buffer = np.empty((min(step, states.shape[0]), cross.shape[0]))
     for start in range(0, states.shape[0], step):
         block = states[start : start + step]
@@ -445,12 +432,13 @@ def distinct_rows(data: np.ndarray, num_visible: int | None = None) -> DistinctR
     order = first.argsort()
     rows = data[first[order]]
     counts = counts[order].astype(np.float64)
-    # a block at a time, so only one block of rows is ever held unpacked
+    # a block at a time, so only one block of rows is ever held unpacked;
+    # einsum casts it to float64 a buffer at a time, where `@` would copy it
     visible_sum = np.zeros(num_visible)
     step = _block_rows(num_visible)
     for start in range(0, rows.shape[0], step):
         block = np.unpackbits(rows[start : start + step], axis=1, count=num_visible)
-        visible_sum += counts[start : start + step] @ block
+        visible_sum += np.einsum("r,rv->v", counts[start : start + step], block)
     for array in (rows, counts, visible_sum):
         array.setflags(write=False)
     return DistinctRows(rows, counts, visible_sum, data.shape[0], num_visible)
@@ -460,26 +448,16 @@ def _row_products(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """weights @ rows.T as float64, (nh, r) rather than (r, nh), the faster
     layout for BLAS, from rows packed as `DistinctRows.rows` holds them:
     the rows are unpacked `_block_rows` at a time into one float64 buffer,
-    and each block's product fills its columns.
-
-    The last block ends at the last row, starts at a multiple of
-    `_ROW_TILE` rows and may overlap the one before it. So no block is
-    shorter than the others, and each row sits at the place in its BLAS row
-    tile that it has in the one-call product. With OpenBLAS, at 1 and 2
-    threads, every entry then keeps the one-call product's bits from 5
-    hidden units on; with fewer, a block can fall under the size from which
-    OpenBLAS uses its general kernel, and an entry may differ in its last
-    bit.
-    """
-    r, nv = rows.shape[0], weights.shape[1]
-    step = min(_block_rows(nv), r)
-    last = (r - step) // _ROW_TILE * _ROW_TILE
-    block = np.empty((r - last, nv))
-    out = np.empty((weights.shape[0], r))
-    for start in [*range(0, last, step), last]:
-        stop = start + step if start < last else r
-        np.copyto(block[: stop - start], np.unpackbits(rows[start:stop], axis=1, count=nv))
-        np.matmul(weights, block[: stop - start].T, out=out[:, start:stop])
+    and each block's product fills its columns."""
+    r, (nh, nv) = rows.shape[0], weights.shape
+    step = min(_block_rows(nh * nv), r)
+    block = np.empty((step, nv))
+    out = np.empty((nh, r))
+    for start in range(0, r, step):
+        stop = min(start + step, r)
+        part = block[: stop - start]
+        np.copyto(part, np.unpackbits(rows[start:stop], axis=1, count=nv))
+        np.matmul(weights, part.T, out=out[:, start:stop])
     return out
 
 

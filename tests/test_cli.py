@@ -397,6 +397,29 @@ class TestParallelJobs:
         assert "OPENBLAS_NUM_THREADS" not in os.environ
         assert os.environ["OMP_NUM_THREADS"] == "3"
 
+    def test_full_scale_plan_matches_across_jobs(self, tmp_path):
+        # `--jobs 1` trains in the calling process, here with two BLAS
+        # threads, and each `--jobs 2` worker with one; 61 eval points per
+        # run at 28x28 give the likelihood's bits room to differ
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        args = [
+            "-m", "rbmpt.cli", "grid", "--preset", "comparison", "--scale", "full",
+            "--num-seeds", "1", "--updates", "300", "--post-steps", "0", "--eval-interval", "5",
+        ]
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            subprocess.run(
+                [sys.executable, *args, "--jobs", str(jobs), "--out", str(out)],
+                check=True,
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "2"},
+            )
+        artifacts = sorted((tmp_path / "jobs1").glob("*__seed*.csv"))
+        artifacts += sorted((tmp_path / "jobs1").glob("*.rbm"))
+        assert len(artifacts) == 10
+        for path in artifacts:
+            assert path.read_bytes() == (tmp_path / "jobs2" / path.name).read_bytes()
+
     def test_environment_is_restored(self, monkeypatch):
         monkeypatch.setenv("RBMPT_TEST_SET", "before")
         monkeypatch.delenv("RBMPT_TEST_UNSET", raising=False)

@@ -308,3 +308,26 @@ def test_grid_summary_is_the_sidecars_summary(jobs, eval_size, tmp_path):
     assert 0 < len(summary["diverged_seeds"]) < len(LOCKSTEP_SEEDS)
     if eval_size == 0:
         assert summary["final_loglik"]["mean"] is None
+
+
+def test_diverged_seeds_leave_the_likelihood_statistics(tmp_path):
+    # a diverged run stops at finite parameters, so its last likelihood is
+    # finite; the summary lists it but takes the statistics without it
+    plan = experiment.ExperimentPlan(
+        [experiment.PlannedRun("diverging", LOCKSTEP_CASES["diverging"], list(LOCKSTEP_SEEDS))],
+        data=experiment.DatasetSettings(image_side=3, eval_size=20),
+        output_dir=str(tmp_path),
+    )
+    assert experiment.run_experiment(plan) == 0
+    summary = json.loads((tmp_path / "diverging__summary.json").read_text())
+    loglik = summary["final_loglik"]
+    assert summary["seeds"] == list(LOCKSTEP_SEEDS)
+    assert np.isfinite(loglik["values"]).all()
+    kept = [
+        value for seed, value in zip(summary["seeds"], loglik["values"])
+        if seed not in summary["diverged_seeds"]
+    ]
+    assert 1 < len(kept) < len(LOCKSTEP_SEEDS)
+    assert loglik["mean"] == float(np.mean(kept))
+    assert loglik["median"] == float(np.median(kept))
+    assert loglik["stderr"] == float(np.std(kept, ddof=1) / np.sqrt(len(kept)))
