@@ -13,11 +13,9 @@ import contextlib
 import dataclasses
 import json
 import logging
-import multiprocessing
 import os
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -361,6 +359,10 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
     # every run shares one dataset: built once here, or once per worker process
     outcomes: list[tuple[list[dict], str] | Exception] = []
     if jobs > 1 and len(plan.runs) > 1:
+        # imported here, so a sequential run never loads the pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # spawned workers are fresh interpreters, which read the BLAS thread
         # settings when they import numpy
         with _environment(_WORKER_BLAS_ENV), ProcessPoolExecutor(

@@ -137,29 +137,32 @@ def init_params(num_visible: int, num_hidden: int, rng: np.random.Generator) -> 
 def energies(
     params: RbmParams, visible: np.ndarray, hidden: np.ndarray, product=None
 ) -> np.ndarray:
-    """Joint energies of a batch of states; visible (m, nv), hidden (m, nh),
-    and `hidden @ params.weights` if the caller has it (the Gibbs kernel's)."""
+    """Joint energies of a batch of states, visible (m, nv) and hidden
+    (m, nh), as E = -(v . (h W + c) + h . b). `product` is the visible
+    pre-activation `hidden @ params.weights + params.visible_bias` if the
+    caller has it (the Gibbs kernel's); otherwise it is computed here, with
+    the same operations, so both give the same bits."""
     # one BLAS product, then a row-wise dot: a three-operand einsum would
     # run numpy's unblocked loop instead
     if product is None:
         product = hidden @ params.weights
-    interaction = np.vecdot(product, visible)
-    return -(interaction + hidden @ params.hidden_bias + visible @ params.visible_bias)
+        product += params.visible_bias
+    return -(np.vecdot(product, visible) + hidden @ params.hidden_bias)
 
 
 def stacked_energies(
     params: RbmParams, visible: np.ndarray, hidden: np.ndarray, product=None
 ) -> np.ndarray:
     """`energies` of R replicas in one call: stacked params, visible
-    (R, m, nv) and hidden (R, m, nh) give (R, m), row r with the bits of
+    (R, m, nv), hidden (R, m, nh) and, if the caller has it, the stacked
+    pre-activation (R, m, nv) give (R, m), row r with the bits of
     `energies` on replica r."""
     if product is None:
         product = hidden @ params.weights
-    interaction = np.vecdot(product, visible)
+        product += params.visible_bias
     # a (m, n) @ (n, 1) product per slice is the 2-D matrix-vector product
     hidden_term = (hidden @ params.hidden_bias.mT)[..., 0]
-    visible_term = (visible @ params.visible_bias.mT)[..., 0]
-    return -(interaction + hidden_term + visible_term)
+    return -(np.vecdot(product, visible) + hidden_term)
 
 
 def hidden_conditional(params: RbmParams, visible: np.ndarray) -> np.ndarray:
@@ -209,8 +212,10 @@ def gibbs_sweep_chains(
     visible phase. Each unit is 1 when its uniform falls below its
     probability; that 0/1 value overwrites the uniform, so the states
     returned are views of `uniforms`. Also returned, for `energies`, is the
-    last `hidden @ weights` of a visible phase below `_VECTOR_LOGISTIC_MIN`
-    entries per replica, else None (and for 0 steps).
+    last visible phase's pre-activation `hidden @ weights + visible_bias`,
+    before the beta scaling (None for 0 steps). It is kept as its own array
+    at every size: the swap energies need it, and keeping it costs less than
+    recomputing it, even at 50 chains of 784 units.
 
     A stack of R replicas runs in the same calls: stacked params, visible
     (R, m, nv), hidden (R, m, nh), betas (R, m) and uniforms (R, n), row
@@ -237,9 +242,6 @@ def gibbs_sweep_chains(
     # chosen per replica, so a replica's bits do not depend on the stack size
     hidden_logistic = _logistic_for(m * nh)
     visible_logistic = _logistic_for(m * nv)
-    # the product is kept only for a phase small enough for expit: at 50 x 784
-    # a third phase-sized buffer cost more per update than recomputing it
-    keep = visible_logistic is expit
     product = None
     start = 0
     for _ in range(steps):
@@ -250,12 +252,9 @@ def gibbs_sweep_chains(
         stop = start + m * nh
         hidden = uniforms[..., start:stop].reshape(hidden_shape)
         np.less(hidden, ph, out=hidden)
-        pv = hidden @ weights
-        if keep:
-            product, pv = pv, pv + visible_bias
-        else:
-            pv += visible_bias
-        pv *= b
+        product = hidden @ weights
+        product += visible_bias
+        pv = product * b
         visible_logistic(pv, out=pv)
         start, stop = stop, stop + m * nv
         visible = uniforms[..., start:stop].reshape(visible_shape)

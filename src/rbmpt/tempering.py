@@ -188,9 +188,9 @@ def deo_sweep(
 
     The sweep draws all its uniforms in one `rng.random` call: the Gibbs
     steps' blocks, then one per proposed pair, the doubles that drawing
-    them phase by phase would give. The swap energies reuse the Gibbs
-    kernel's last `hidden @ weights` when it keeps one, which is the
-    product they would compute.
+    them phase by phase would give. The swap energies take the Gibbs
+    kernel's last visible pre-activation `hidden @ weights + visible_bias`,
+    which has the bits `rbm.energies` would compute for it.
 
     An `EnsembleStack` sweeps all its members in one Gibbs call and one
     `rbm.stacked_energies` call, with stacked `params` (`RbmParams.view` of

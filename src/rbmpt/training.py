@@ -270,8 +270,9 @@ class _Lockstep:
         m = self.ensembles.num_chains
         # modeled cost: the sweep, the swap-phase energies and the gradient
         # step; whole numbers below 2^53, so the float sums are exact. The
-        # energies may reuse the sweep's last product but are still charged
-        # for it, so the modeled times are those of a sweep that recomputes it.
+        # energies take the sweep's last visible pre-activation, but their
+        # charge stays one weight-sized product per chain, so
+        # `wall_clock_seconds` keeps its bytes.
         work = gibbs_steps * m * 2 * self.weight_size
         if m > 1:
             work += m * self.weight_size

@@ -1,5 +1,6 @@
 """The sha256 of every blocked product of the exact evaluation over a grid of
-shapes, printed as one JSON object by case.
+shapes, and of the sampler's kernels at the default bounds, printed as one
+JSON object by case.
 
 `tests/test_rbm.py` runs this file under OPENBLAS_NUM_THREADS=1 and =2 and
 compares the digests: the bits must not depend on the thread count. By hand:
@@ -25,6 +26,11 @@ ROWS = (17, 1000, 6912)
 # (image side, hidden units, weight scale) of the ci and full presets
 SNAPSHOT_SHAPES = {"ci": (8, 5, 1.0), "full": (28, 10, 0.3)}
 SNAPSHOT_DRAWS = range(31, 36)
+
+# the sampler at the full preset's shape: `max_chains`' default of 100
+# chains, and 64 rows for `hidden_conditional`
+SAMPLER_CHAINS = 100
+CONDITIONAL_ROWS = 64
 
 # log Z and the likelihood enumerate the smaller layer: 2^25 states is too
 # many for a test, so they run where that layer has at most 12 units
@@ -65,6 +71,33 @@ def blocked_digests() -> dict[str, str]:
             out[f"{name} products"] = digest(rbm._row_products(p.weights, rows.rows))
             out[f"{name} log Z"] = digest(rbm.exact_log_partition(p))
             out[f"{name} likelihood"] = digest(rbm.exact_log_likelihood(p, rows))
+    out.update(sampler_digests())
+    return out
+
+
+def sampler_digests() -> dict[str, str]:
+    """Case name -> sha256 of a two-step Gibbs sweep of `SAMPLER_CHAINS`
+    chains at 28x28 with 10 hidden units (its draws and its kept visible
+    pre-activation), of the energies of its states, and of
+    `hidden_conditional` on `CONDITIONAL_ROWS` rows, on five draws."""
+    out = {}
+    image_side, nh, weight_scale = SNAPSHOT_SHAPES["full"]
+    nv, m = image_side**2, SAMPLER_CHAINS
+    for seed in SNAPSHOT_DRAWS:
+        rng = np.random.default_rng(seed)
+        p = random_params(rng, nv, nh, scale=weight_scale)
+        visible = (rng.random((m, nv)) < 0.5).astype(np.float64)
+        hidden = (rng.random((m, nh)) < 0.5).astype(np.float64)
+        uniforms = rng.random(2 * m * (nh + nv))
+        betas = np.linspace(1.0, 0.0, m)
+        v, h, kept = rbm.gibbs_sweep_chains(p, visible, hidden, betas, 2, uniforms)
+        name = f"sampler {m} chains draw {seed}"
+        out[f"{name} states"] = digest(np.concatenate([v.ravel(), h.ravel()]))
+        out[f"{name} pre-activation"] = digest(kept)
+        out[f"{name} energies"] = digest(rbm.energies(p, v, h))
+        out[f"{name} hidden conditional"] = digest(
+            rbm.hidden_conditional(p, visible[:CONDITIONAL_ROWS])
+        )
     return out
 
 

@@ -68,6 +68,16 @@ def reference_energy(params: RbmParams, visible: np.ndarray, hidden: np.ndarray)
     )
 
 
+def reference_energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """E = -(v . (h W + c) + h . b) of a batch of m joint states, term by
+    term: the visible pre-activation of all rows, each row's dot with its
+    visible state, and the hidden bias term of all rows. These are the
+    operations `rbm.energies` runs, so it must give the same bits."""
+    activation = hidden @ params.weights + params.visible_bias
+    interaction = np.array([activation[i] @ visible[i] for i in range(len(visible))])
+    return -(interaction + hidden @ params.hidden_bias)
+
+
 def energy_table(params: RbmParams) -> np.ndarray:
     """(2^nh, 2^nv) table of joint energies over every configuration."""
     v_all = enumerate_bits(params.num_visible)
@@ -266,7 +276,7 @@ def reference_deo_sweep(ensemble, params: RbmParams, gibbs_steps: int, rng):
     """One DEO sweep of a lone `ensemble`, drawn phase by phase:
     `reference_gibbs_sweep`, then one `rng.random` call with one uniform per
     proposed pair, decided by `swap_ratio` on energies from a fresh
-    `hidden @ weights` product. The bookkeeping is written out step by step
+    pre-activation `hidden @ weights + visible_bias`. The bookkeeping is written out step by step
     on new arrays, which replace the ensemble's."""
     betas = ensemble.betas.tolist()
     m = len(betas)

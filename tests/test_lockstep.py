@@ -11,7 +11,7 @@ from rbmpt import cli, dataset, experiment, rbm, tempering, training
 from rbmpt.adaptation import AdaptationConfig
 from rbmpt.training import TrainConfig
 
-from oracles import random_params, same_bits
+from oracles import random_params, reference_energies, same_bits
 
 # (chains or minibatch rows, visible, hidden) at the ci and full presets' sizes
 SHAPES = {
@@ -77,9 +77,10 @@ def test_stacked_kernels_match_lone_calls(replicas, shape):
 @pytest.mark.parametrize("replicas", [1, 2, 5])
 @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
 def test_kept_product_gives_the_recomputed_energies(replicas, shape, steps):
-    # the swap energies take the Gibbs kernel's last hidden @ weights: they
-    # must be the bits of the energies that compute the product afresh. A
-    # visible phase of the vectorised logistic's size keeps no product.
+    # the swap energies take the Gibbs kernel's last visible pre-activation
+    # hidden @ weights + visible_bias, kept at every size: they must be the
+    # bits of the energies that compute it afresh, and of the term-by-term
+    # oracle
     m, nv, nh = shape
     rng = np.random.default_rng(79)
     lone, stacked = stack_params(rng, replicas, nv, nh)
@@ -87,15 +88,18 @@ def test_kept_product_gives_the_recomputed_energies(replicas, shape, steps):
     betas = np.stack([np.linspace(1.0, 0.0, m) if m > 1 else np.ones(1)] * replicas)
     uniforms = rng.random((replicas, steps * m * (nv + nh)))
     v, h, kept = rbm.gibbs_sweep_chains(stacked, visible, hidden, betas, steps, uniforms.copy())
-    assert (kept is None) == (m * nv >= rbm._VECTOR_LOGISTIC_MIN)
-    assert same_bits(
-        rbm.stacked_energies(stacked, v, h, kept), rbm.stacked_energies(stacked, v, h)
-    )
+    assert same_bits(kept, h @ stacked.weights + stacked.visible_bias)
+    got = rbm.stacked_energies(stacked, v, h, kept)
+    assert same_bits(got, rbm.stacked_energies(stacked, v, h))
     for r, params in enumerate(lone):
-        v, h, kept = rbm.gibbs_sweep_chains(
+        assert same_bits(got[r], reference_energies(params, v[r], h[r]))
+        lone_v, lone_h, lone_kept = rbm.gibbs_sweep_chains(
             params, visible[r], hidden[r], betas[r], steps, uniforms[r]
         )
-        assert same_bits(rbm.energies(params, v, h, kept), rbm.energies(params, v, h))
+        assert same_bits(lone_kept, lone_h @ params.weights + params.visible_bias)
+        lone_energies = rbm.energies(params, lone_v, lone_h, lone_kept)
+        assert same_bits(lone_energies, rbm.energies(params, lone_v, lone_h))
+        assert same_bits(lone_energies, got[r])
 
 
 @pytest.mark.parametrize("replicas", [1, 2, 5])

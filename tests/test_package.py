@@ -2,6 +2,7 @@
 the benchmark's tracer (`perfbench/tracer.py`) wraps by module and name."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -12,10 +13,11 @@ import rbmpt
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_import_loads_no_submodule():
-    # a fresh interpreter on the package copy this test imported
+def loaded_modules(statement: str) -> list[str]:
+    """The sorted names in `sys.modules` after `statement` runs in a fresh
+    interpreter on the package copy this test imported."""
     package_root = os.path.dirname(os.path.dirname(rbmpt.__file__))
-    code = "import sys, rbmpt; print(sorted(m for m in sys.modules if m.startswith('rbmpt.')))"
+    code = f"import json, sys; {statement}; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -23,7 +25,20 @@ def test_import_loads_no_submodule():
         check=True,
         env={**os.environ, "PYTHONPATH": package_root},
     )
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_submodule():
+    assert [m for m in loaded_modules("import rbmpt") if m.startswith("rbmpt.")] == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # only `run_experiment` with jobs > 1 uses the pool; scipy.special loads
+    # concurrent.futures' base module itself, but not the process pool's
+    loaded = loaded_modules("import rbmpt.cli")
+    assert "rbmpt.experiment" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+    assert "concurrent.futures.process" not in loaded
 
 
 def test_tracer_finds_every_traced_function():

@@ -23,6 +23,7 @@ from oracles import (
     brute_joint_distribution,
     enumerate_bits,
     random_params,
+    reference_energies,
     reference_energy,
     reference_exact_log_likelihood,
     reference_gibbs_sweep,
@@ -114,6 +115,7 @@ class TestEnergy:
             assert batch[i] == pytest.approx(
                 reference_energy(p, visible[i], hidden[i]), rel=1e-12
             )
+        assert same_bits(batch, reference_energies(p, visible, hidden))
 
 
 class TestConditionals:
@@ -224,10 +226,11 @@ class TestGibbs:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got[0].dtype == got[1].dtype == np.float64
-        if m * nv < rbm._VECTOR_LOGISTIC_MIN:
-            assert same_bits(got[2], got[1] @ p.weights)
-        else:
-            assert got[2] is None
+        # the last visible pre-activation, unscaled and in its own buffer,
+        # from which the energies take the bits they would compute
+        assert same_bits(got[2], got[1] @ p.weights + p.visible_bias)
+        assert not np.shares_memory(got[2], uniforms)
+        assert same_bits(rbm.energies(p, *got), rbm.energies(p, got[0], got[1]))
         assert np.array_equal(visible, v_in) and np.array_equal(hidden, h_in)
         assert got_rng.random() == want_rng.random()
 
@@ -519,7 +522,8 @@ def blas_thread_digests(threads: int) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def thread_digests():
-    """The blocked products' digests at one and at two BLAS threads."""
+    """The digests of the blocked products and of the sampler's kernels at
+    one and at two BLAS threads."""
     return blas_thread_digests(1), blas_thread_digests(2)
 
 
@@ -538,7 +542,9 @@ class TestBlockedEvaluation:
     shape the unblocked forms' bits, so no ci artifact moves."""
 
     def test_same_bits_at_one_and_two_threads(self, thread_digests):
+        # also the sampler's kernels at 28x28 with 100 chains
         assert differing(thread_digests) == []
+        assert differing(thread_digests, "sampler") == []
 
     @pytest.mark.parametrize("scale", SNAPSHOT_SHAPES)
     def test_real_snapshot(self, scale, thread_digests):
