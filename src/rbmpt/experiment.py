@@ -24,7 +24,7 @@ import numpy as np
 from . import dataset as ds
 from . import rbm
 from .adaptation import AdaptationConfig
-from .training import TrainConfig, train_lockstep, write_metrics_csv
+from .training import TrainConfig, TrainResult, lockstep_key, train_lockstep, write_metrics_csv
 
 logger = logging.getLogger(__name__)
 
@@ -192,22 +192,44 @@ def _write_json(path: Path, record: dict) -> None:
 
 
 def execute_run(
-    planned: PlannedRun, data: DatasetSettings, dataset, out_dir
-) -> tuple[list[dict], str]:
-    """Train `planned`'s replicate seeds in lockstep on `dataset`, the
-    `build_dataset(data)` pair, and write each seed's artifacts and the
+    group: list[PlannedRun], data: DatasetSettings, dataset, out_dir
+) -> list[tuple[list[dict], str]]:
+    """Train the replicate seeds of `group`, planned runs that share one
+    `training.lockstep_key`, in one `train_lockstep` call on `dataset`, the
+    `build_dataset(data)` pair. Then write each seed's artifacts and each
     label's summary, computed from the sidecar records in memory; returns
-    the seeds' manifest entries and the summary's file name. A seed's
-    `measured_seconds` is the group's wall time divided by the number of
-    seeds, and its sidecar's `group_size` says how many seeds shared it."""
+    each label's manifest entries and summary file name, in `group`'s
+    order. Every seed's `measured_seconds` is the group's wall time divided
+    by all its seeds, whatever their label, and its sidecar's `group_size`
+    is that number of seeds."""
     out_dir = Path(out_dir)
     spec, eval_data = dataset
-    configs = [dataclasses.replace(planned.config, seed=seed) for seed in planned.seeds]
+    configs = [
+        dataclasses.replace(planned.config, seed=seed)
+        for planned in group
+        for seed in planned.seeds
+    ]
     started = time.perf_counter()
-    results = train_lockstep(configs, ds.BatchSampler(spec), eval_data=eval_data)
+    results = iter(train_lockstep(configs, ds.BatchSampler(spec), eval_data=eval_data))
     elapsed = time.perf_counter() - started
-    logger.info("%s: %d seeds finished in %.1fs", planned.label, len(configs), elapsed)
+    labels = ", ".join(planned.label for planned in group)
+    logger.info("%s: %d seeds finished in %.1fs", labels, len(configs), elapsed)
+    timing = {"measured_seconds": elapsed / len(configs), "group_size": len(configs)}
+    return [
+        _write_label(planned, [next(results) for _ in planned.seeds], data, out_dir, timing)
+        for planned in group
+    ]
 
+
+def _write_label(
+    planned: PlannedRun,
+    results: list[TrainResult],
+    data: DatasetSettings,
+    out_dir: Path,
+    timing: dict,
+) -> tuple[list[dict], str]:
+    """Write the artifacts of `planned`'s trained `results`, one per seed,
+    and the label's summary; the sidecars carry the group's `timing`."""
     entries, sidecars = [], []
     for result in results:
         config = result.config
@@ -238,8 +260,7 @@ def execute_run(
             },
             "spawn_events": [dataclasses.asdict(ev) for ev in result.spawn_events],
             "diverged_at": result.diverged_at,
-            "measured_seconds": elapsed / len(configs),
-            "group_size": len(configs),
+            **timing,
         }
         _write_json(sidecar_path, sidecar)
         sidecars.append(sidecar)
@@ -286,9 +307,9 @@ def _init_worker(data: DatasetSettings, out_dir: Path) -> None:
     _worker_context = (data, build_dataset(data), out_dir)
 
 
-def _worker(planned: PlannedRun) -> tuple[list[dict], str]:
+def _worker(group: list[PlannedRun]) -> list[tuple[list[dict], str]]:
     data, dataset, out_dir = _worker_context
-    return execute_run(planned, data, dataset, out_dir)
+    return execute_run(group, data, dataset, out_dir)
 
 
 def _finite(values: list[float]) -> list[float]:
@@ -340,25 +361,37 @@ def summarize_label(label: str, sidecars: list[dict]) -> dict:
     }
 
 
+def _lockstep_groups(runs: list[PlannedRun]) -> list[list[PlannedRun]]:
+    """`runs` split into sets that share one `training.lockstep_key`, each
+    in plan order, the sets in the order of their first label."""
+    groups: dict[tuple, list[PlannedRun]] = {}
+    for planned in runs:
+        groups.setdefault(lockstep_key(planned.config), []).append(planned)
+    return list(groups.values())
+
+
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
     """Execute every run in the plan, then write the manifest.
 
-    Each planned run is one `execute_run` task, which trains its seeds in
-    lockstep and writes their artifacts and the label's summary. With
-    jobs > 1 the tasks go to a pool of that many spawned worker processes,
-    each with one BLAS thread; a script that calls this must guard its entry
-    point with `if __name__ == "__main__":`.
+    The planned runs whose configs share a `training.lockstep_key` form one
+    `execute_run` task, which trains all their seeds in one lockstep group
+    and writes their artifacts and each label's summary. With jobs > 1 the
+    tasks go to a pool of that many spawned worker processes, each with one
+    BLAS thread; a script that calls this must guard its entry point with
+    `if __name__ == "__main__":`.
 
-    A planned run that raises loses only its own seeds: their manifest
-    entries record the error, every other run finishes and gets its summary,
-    and once the manifest is written a RuntimeError names the failures.
+    A group that raises loses the seeds of each of its labels: their
+    manifest entries record the error, every other group finishes and its
+    labels get their summaries, and once the manifest is written, in plan
+    order, a RuntimeError names the failed labels.
     """
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    groups = _lockstep_groups(plan.runs)
 
     # every run shares one dataset: built once here, or once per worker process
-    outcomes: list[tuple[list[dict], str] | Exception] = []
-    if jobs > 1 and len(plan.runs) > 1:
+    outcomes: list[list[tuple[list[dict], str]] | Exception] = []
+    if jobs > 1 and len(groups) > 1:
         # imported here, so a sequential run never loads the pool
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -371,7 +404,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
             initializer=_init_worker,
             initargs=(plan.data, out_dir),
         ) as pool:
-            futures = [pool.submit(_worker, planned) for planned in plan.runs]
+            futures = [pool.submit(_worker, group) for group in groups]
             for future in futures:
                 try:
                     outcomes.append(future.result())
@@ -379,19 +412,28 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
                     outcomes.append(exc)
     else:
         dataset = build_dataset(plan.data)
-        for planned in plan.runs:
+        for group in groups:
             try:
-                outcomes.append(execute_run(planned, plan.data, dataset, out_dir))
+                outcomes.append(execute_run(group, plan.data, dataset, out_dir))
             except Exception as exc:
                 outcomes.append(exc)
+
+    # each label's (entries, summary), or its group's exception
+    by_label = {}
+    for group, outcome in zip(groups, outcomes):
+        if isinstance(outcome, Exception):
+            labels = ", ".join(planned.label for planned in group)
+            logger.error("%s failed", labels, exc_info=outcome)
+            outcome = [outcome] * len(group)
+        by_label.update(zip((planned.label for planned in group), outcome))
 
     entries = []
     summaries = {}
     failures = []
-    for planned, outcome in zip(plan.runs, outcomes):
+    for planned in plan.runs:
+        outcome = by_label[planned.label]
         if isinstance(outcome, Exception):
             error = f"{type(outcome).__name__}: {outcome}"
-            logger.error("%s failed: %s", planned.label, error, exc_info=outcome)
             entries += [
                 {"label": planned.label, "seed": seed, "error": error} for seed in planned.seeds
             ]
@@ -442,7 +484,8 @@ def _read_record(path) -> dict:
 def summarize(output_dir, stream) -> int:
     """Print the per-label summary table; list missing files but still print
     whatever is available. `wall_s` is the mean measured seconds per seed:
-    the wall time of the label's lockstep group divided by its seeds. A
+    the wall time of the lockstep group the label trained in divided by all
+    the group's seeds, so the labels of one group show one figure. A
     manifest or summary that cannot be read is a ValueError naming it."""
     out_dir = Path(output_dir)
     manifest_path = out_dir / MANIFEST_NAME

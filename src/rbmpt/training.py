@@ -232,8 +232,31 @@ class TrainResult:
         )
 
 
+# The settings that every run of one lockstep group shares, beside its
+# ladder length: each array shape and the whole update schedule.
+_LOCKSTEP_FIELDS = (
+    "num_hidden",
+    "minibatch_size",
+    "gibbs_steps_per_update",
+    "num_updates",
+    "post_sampling_steps",
+    "eval_interval",
+    "learning_rate",
+)
+
+
+def lockstep_key(config: TrainConfig) -> tuple[tuple[str, object], ...]:
+    """What runs must share to train in one `train_lockstep` group, as
+    (setting, value) pairs: `_LOCKSTEP_FIELDS`, then the ladder length (1
+    for `sml`, else `initial_num_chains`). Runs of one key may differ in
+    their seed, algorithm, initial ladder and adaptation settings."""
+    length = 1 if config.algorithm == ALGO_SML else config.initial_num_chains
+    shared = tuple((name, getattr(config, name)) for name in _LOCKSTEP_FIELDS)
+    return (*shared, ("ladder length", length))
+
+
 class _Lockstep:
-    """Runs of one configuration, at one ladder length, advanced together:
+    """Runs of one lockstep key, at one ladder length, advanced together:
     their parameters are the rows of one (R, P) stack and their ensembles
     one `EnsembleStack`, so each kernel runs once per update for all R.
     A lone run needs no stack: the same kernels take its own arrays. (Always
@@ -242,8 +265,13 @@ class _Lockstep:
 
     def __init__(self, runs: list[TrainResult]):
         self.runs = runs
+        # the key's settings, which every run shares
         self.config = config = runs[0].config
-        self.adaptive = config.algorithm == ALGO_SML_APT
+        # each run's AdaptationConfig, or None for a fixed ladder
+        self.adaptations = [
+            run.config.adaptation if run.config.algorithm == ALGO_SML_APT else None
+            for run in runs
+        ]
         self.total_steps = config.num_updates + config.post_sampling_steps
         nh, nv = runs[0].params.weights.shape
         self.weight_size = nv * nh
@@ -281,11 +309,10 @@ class _Lockstep:
         if m > 1:
             update_flow_histograms(self.ensembles)
         leaving = []
-        for run in runs:
+        for run, adaptation in zip(runs, self.adaptations):
             run.work_units += work
             ensemble = run.ensemble
-            if self.adaptive and ensemble.burn_in_remaining == 0:
-                adaptation = config.adaptation
+            if adaptation is not None and ensemble.burn_in_remaining == 0:
                 adapt_betas(ensemble, adaptation)
                 if update % adaptation.spawn_check_interval == 0:
                     event = maybe_spawn(ensemble, adaptation, update_index=update)
@@ -319,16 +346,19 @@ def train_lockstep(
     eval_data: rbm.DistinctRows | None = None,
 ) -> list[TrainResult]:
     """Train one run per config, as `train` would, advancing the runs
-    together: `configs` may differ only in their seed.
+    together: `configs` must share their `lockstep_key`, so they may
+    differ only in their seed, algorithm, initial ladder and adaptation
+    settings. A ValueError names the first setting that differs.
 
     Each update runs the Gibbs sweep, the energies, the minibatch draw and
     the gradient step once over a stacked replica axis, while every run
-    keeps its own generator, swap decisions and ladder bookkeeping, so each
-    result has the bits `train` gives its config alone. A run that diverges
-    stops; one whose ladder grows by a spawn leaves the stack and goes on
-    alone. `sampler` must also take a list of R generators and return an
-    (R, n, num_visible) stack, as `dataset.BatchSampler` does. Returns the
-    runs it stepped, in the order of `configs`.
+    keeps its own generator, swap decisions, ladder bookkeeping and, for
+    `sml-apt`, its own respacing and spawn checks, so each result has the
+    bits `train` gives its config alone. A run that diverges stops; one
+    whose ladder grows by a spawn leaves the stack and goes on alone.
+    `sampler` must also take a list of R generators and return an (R, n,
+    num_visible) stack, as `dataset.BatchSampler` does. Returns the runs it
+    stepped, in the order of `configs`.
     """
     if eval_data is not None and not isinstance(eval_data, rbm.DistinctRows):
         raise TypeError(
@@ -337,9 +367,12 @@ def train_lockstep(
         )
     if not configs:
         raise ValueError("train_lockstep needs at least one config")
-    shared = dataclasses.replace(configs[0], seed=0)
-    if any(dataclasses.replace(config, seed=0) != shared for config in configs):
-        raise ValueError("lockstep runs must differ only in their seed")
+    shared = configs[0]
+    key = lockstep_key(shared)
+    for config in configs[1:]:
+        for (name, want), (_, got) in zip(key, lockstep_key(config)):
+            if got != want:
+                raise ValueError(f"lockstep runs must share their {name}: {want!r} and {got!r}")
     num_visible = sampler.num_visible
     runs = [TrainResult.start(config, num_visible) for config in configs]
     for run in runs:

@@ -1,5 +1,7 @@
-"""Lockstep training: runs that differ only in their seed share one stacked
-replica axis, and every seed must come out with the bits it gets alone."""
+"""Lockstep training: runs that share every array shape and the update
+schedule (one `training.lockstep_key`) share one stacked replica axis,
+whatever their seed, sampler, initial ladder or adaptation settings, and
+every seed must come out with the bits it gets alone."""
 
 import dataclasses
 import json
@@ -222,6 +224,81 @@ def test_lockstep_rejects_configs_that_differ_beyond_the_seed():
         training.train_lockstep(configs, toy_sampler())
 
 
+@pytest.mark.parametrize(
+    "other, setting",
+    [
+        (toy_config(seed=2, num_hidden=4), "num_hidden"),
+        (toy_config(seed=2, algorithm="sml-apt", initial_num_chains=5), "ladder length"),
+        (toy_config(seed=2, algorithm="sml"), "ladder length"),
+    ],
+    ids=["num_hidden", "chains", "sml"],
+)
+def test_lockstep_rejection_names_the_setting(other, setting):
+    with pytest.raises(ValueError, match=f"share their {setting}"):
+        training.train_lockstep([toy_config(seed=1), other], toy_sampler())
+
+
+def test_lockstep_key_counts_one_chain_for_sml():
+    # a single chain ignores `initial_num_chains`
+    sml = training.lockstep_key(toy_config(algorithm="sml", initial_num_chains=7))
+    assert sml == training.lockstep_key(toy_config(algorithm="sml", initial_num_chains=1))
+    assert sml == training.lockstep_key(toy_config(algorithm="sml-pt", initial_num_chains=1))
+    assert sml != training.lockstep_key(toy_config(algorithm="sml-pt"))
+
+
+# Three samplers of one lockstep key: a fixed linear ladder, an adaptive
+# ladder that spawns, and a fixed geometric ladder; and a fourth label that
+# differs from them only in its learning rate.
+MIXED_LABELS = {
+    "pt": dataclasses.replace(LOCKSTEP_CASES["sml-apt"], algorithm="sml-pt"),
+    "apt": LOCKSTEP_CASES["sml-apt"],
+    "geometric": dataclasses.replace(
+        LOCKSTEP_CASES["sml-apt"], algorithm="sml-pt", initial_ladder="geometric"
+    ),
+    "slower": dataclasses.replace(LOCKSTEP_CASES["sml-apt"], learning_rate=0.1),
+}
+
+
+def test_grid_groups_labels_by_lockstep_key(tmp_path):
+    # seed s of a label trained in a group that spans labels writes the
+    # files it writes in a one-label, one-seed plan; the labels that share
+    # a key train in one group, the one with another learning rate alone
+    data = experiment.DatasetSettings(image_side=3, eval_size=20)
+    together = experiment.ExperimentPlan(
+        [experiment.PlannedRun(label, config, list(LOCKSTEP_SEEDS))
+         for label, config in MIXED_LABELS.items()],
+        data=data, output_dir=str(tmp_path / "together"),
+    )
+    assert experiment.run_experiment(together) == 0
+    spawned, measured = [], {}
+    for label, config in MIXED_LABELS.items():
+        for seed in LOCKSTEP_SEEDS:
+            alone = experiment.ExperimentPlan(
+                [experiment.PlannedRun(label, config, [seed])],
+                data=data, output_dir=str(tmp_path / f"{label}{seed}"),
+            )
+            assert experiment.run_experiment(alone) == 0
+            stem = experiment.run_stem(label, seed)
+            for suffix in ("csv", "rbm"):
+                name = f"{stem}.{suffix}"
+                assert (tmp_path / "together" / name).read_bytes() == (
+                    tmp_path / f"{label}{seed}" / name
+                ).read_bytes()
+            sidecar = json.loads((tmp_path / "together" / f"{stem}.json").read_text())
+            labels = 1 if label == "slower" else 3
+            assert sidecar["group_size"] == labels * len(LOCKSTEP_SEEDS)
+            measured.setdefault(labels, set()).add(sidecar["measured_seconds"])
+            spawned.append(bool(sidecar["spawn_events"]))
+    # the labels of one group share one per-seed wall time
+    assert [len(seconds) for seconds in measured.values()] == [1, 1]
+    # some apt seeds left the stack by a spawn, and some stayed
+    assert not any(spawned[:4]) and 0 < sum(spawned[4:8]) < 4
+    manifest = json.loads((tmp_path / "together" / experiment.MANIFEST_NAME).read_text())
+    assert [(e["label"], e["seed"]) for e in manifest["runs"]] == [
+        (label, seed) for label in MIXED_LABELS for seed in LOCKSTEP_SEEDS
+    ]
+
+
 @pytest.mark.parametrize("case", ["sml", "sml-apt"])
 def test_grid_seed_files_match_seed_alone(case, tmp_path):
     # through run_experiment: seed s in a group of four writes the files
@@ -287,6 +364,45 @@ def test_failing_label_keeps_the_other_labels(tmp_path, monkeypatch):
         for seed in (0, 1):
             assert (out / f"{label}__seed{seed}.csv").exists()
     assert not list(out.glob("sml-pt-20*"))
+
+
+def test_failing_group_fails_each_of_its_labels(tmp_path, monkeypatch):
+    # sml-pt-10 and sml-apt start at 10 chains and share every other shape
+    # and the schedule, so they train in one group: it fails as a whole
+    out = tmp_path / "out"
+    argv = [
+        "grid", "--preset", "comparison", "--scale", "ci", "--num-seeds", "2",
+        "--updates", "6", "--post-steps", "0", "--eval-interval", "3",
+        "--image-side", "3", "--eval-size", "10", "--out", str(out),
+    ]
+    train_lockstep = experiment.train_lockstep
+    groups = []
+
+    def flaky(configs, *args, **kwargs):
+        groups.append([(config.algorithm, config.initial_num_chains) for config in configs])
+        if configs[0].initial_num_chains == 10:
+            raise FloatingPointError("the 10-chain group blew up")
+        return train_lockstep(configs, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "train_lockstep", flaky)
+    assert cli.main(argv) == cli.RUNTIME_ERROR
+    assert len(groups) == 4
+    assert groups[1] == [("sml-pt", 10)] * 2 + [("sml-apt", 10)] * 2
+    manifest = json.loads((out / experiment.MANIFEST_NAME).read_text())
+    assert [e["label"] for e in manifest["runs"]] == [
+        label for label in manifest["labels"] for _ in (0, 1)
+    ]
+    failed = [entry for entry in manifest["runs"] if "error" in entry]
+    assert [(e["label"], e["seed"]) for e in failed] == [
+        ("sml-pt-10", 0), ("sml-pt-10", 1), ("sml-apt", 0), ("sml-apt", 1)
+    ]
+    assert all("the 10-chain group blew up" in e["error"] for e in failed)
+    assert sorted(manifest["summaries"]) == ["sml", "sml-pt-20", "sml-pt-50"]
+    for label in manifest["summaries"]:
+        assert (out / f"{label}__summary.json").exists()
+        for seed in (0, 1):
+            assert (out / f"{label}__seed{seed}.csv").exists()
+    assert not list(out.glob("sml-pt-10*")) and not list(out.glob("sml-apt*"))
 
 
 @pytest.mark.parametrize("eval_size", [20, 0], ids=["loglik", "no-loglik"])
