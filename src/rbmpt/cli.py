@@ -20,6 +20,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .experiment import (
+    LOG_FORMAT,
     ExperimentPlan,
     PlannedRun,
     comparison_plan,
@@ -233,7 +234,7 @@ def grid_plan(args) -> ExperimentPlan:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    logging.basicConfig(level=logging.INFO, format=LOG_FORMAT)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command != "summarize":

@@ -28,6 +28,10 @@ from .training import TrainConfig, TrainResult, lockstep_key, train_lockstep, wr
 
 logger = logging.getLogger(__name__)
 
+# the format of the log records `rbmpt` prints, in the calling process and
+# in every `--jobs N` worker
+LOG_FORMAT = "%(levelname)s %(message)s"
+
 MANIFEST_NAME = "manifest.json"
 
 # Sub-stream tags under the dataset seed: prototypes vs evaluation snapshot.
@@ -302,8 +306,11 @@ def _environment(settings: dict[str, str]):
 _worker_context: tuple = ()
 
 
-def _init_worker(data: DatasetSettings, out_dir: Path) -> None:
+def _init_worker(data: DatasetSettings, out_dir: Path, log_level: int) -> None:
+    """Set up a spawned pool worker: it logs at the calling process's root
+    level, in `LOG_FORMAT`, and builds its own copy of the dataset."""
     global _worker_context
+    logging.basicConfig(level=log_level, format=LOG_FORMAT)
     _worker_context = (data, build_dataset(data), out_dir)
 
 
@@ -402,7 +409,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
             max_workers=jobs,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_init_worker,
-            initargs=(plan.data, out_dir),
+            initargs=(plan.data, out_dir, logging.getLogger().level),
         ) as pool:
             futures = [pool.submit(_worker, group) for group in groups]
             for future in futures:

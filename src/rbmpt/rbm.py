@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 # Largest layer we are willing to enumerate exactly (2^cap states).
 EXACT_LAYER_CAP = 25
@@ -163,6 +162,20 @@ def stacked_energies(
     # a (m, n) @ (n, 1) product per slice is the 2-D matrix-vector product
     hidden_term = (hidden @ params.hidden_bias.mT)[..., 0]
     return -(np.vecdot(product, visible) + hidden_term)
+
+
+def expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """scipy.special.expit, imported at the first call, which rebinds this
+    module's `expit` to scipy's ufunc. So importing rbmpt loads numpy but
+    not scipy (about 0.2 s and 25 MB), and only a run that evaluates a
+    logistic pays for that import. `hidden_conditional` and `_logistic_for`
+    read the global when called, so after the first call they hand out
+    the ufunc itself, with no Python call in between.
+    """
+    global expit
+    from scipy.special import expit
+
+    return expit(x, out=out)
 
 
 def hidden_conditional(params: RbmParams, visible: np.ndarray) -> np.ndarray:

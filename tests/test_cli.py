@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -364,12 +365,12 @@ class TestSharedDataset:
             assert not array.flags.writeable
 
 
-def record_worker_env(data, out_dir):
+def record_worker_env(data, out_dir, log_level):
     """Pool initializer: note the BLAS settings the worker started with,
     then set it up as `run_experiment`'s own initializer does."""
     settings = {key: os.environ.get(key) for key in experiment._WORKER_BLAS_ENV}
     (out_dir / f"env-{os.getpid()}.json").write_text(json.dumps(settings))
-    experiment._init_worker(data, out_dir)
+    experiment._init_worker(data, out_dir, log_level)
 
 
 class TestParallelJobs:
@@ -419,6 +420,42 @@ class TestParallelJobs:
         assert len(artifacts) == 10
         for path in artifacts:
             assert path.read_bytes() == (tmp_path / "jobs2" / path.name).read_bytes()
+
+    def test_workers_log_like_the_calling_process(self, tmp_path):
+        # two labels of different shapes: two groups, one per worker
+        plan = {
+            "dataset": {"image_side": 3, "eval_size": 10},
+            "runs": [
+                {"label": label, "seeds": [0, 1], "config": {
+                    "algorithm": "sml", "num_updates": 6, "num_hidden": hidden,
+                    "eval_interval": 3,
+                }}
+                for label, hidden in (("small", 2), ("large", 5))
+            ],
+        }
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        logged = {}
+        for jobs in (1, 2):
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "rbmpt.cli", "grid",
+                    "--plan", str(tmp_path / "plan.json"),
+                    "--jobs", str(jobs), "--out", str(tmp_path / f"jobs{jobs}"),
+                ],
+                check=True,
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": package_root},
+            )
+            # the lines without their wall times
+            logged[jobs] = {
+                re.sub(r" in [0-9.]+s$", "", line)
+                for line in proc.stderr.splitlines()
+                if line.startswith("INFO ")
+            }
+        assert logged[1] == {"INFO small: 2 seeds finished", "INFO large: 2 seeds finished"}
+        assert logged[2] == logged[1]
 
     def test_environment_is_restored(self, monkeypatch):
         monkeypatch.setenv("RBMPT_TEST_SET", "before")

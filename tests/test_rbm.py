@@ -243,7 +243,7 @@ class TestGibbs:
         x = np.resize(grid, size)
         beta_zero = np.resize(grid[np.isfinite(grid)], size) * 0.0
         logistic = rbm._logistic_for(size)
-        assert (logistic is not expit) == vectorised
+        assert (logistic is rbm._vector_logistic) == vectorised
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = x.copy()
