@@ -11,6 +11,7 @@ at 1 and 0.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -59,54 +60,40 @@ class SpawnEvent:
     num_chains: int
 
 
-# m -> the interior levels 1 - i/(m-1), 0 < i < m-1, that the respacing inverts
-_LEVELS_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _interior_levels(m: int) -> np.ndarray:
-    cached = _LEVELS_CACHE.get(m)
-    if cached is None:
-        cached = (1.0 - np.arange(m) / (m - 1))[1:-1]
-        cached.setflags(write=False)
-        _LEVELS_CACHE[m] = cached
-    return cached
-
-
-def _interior_targets(betas, f: list[float]) -> np.ndarray:
-    """Equal-mass targets of the interior slots of a ladder of m >= 3 betas:
-    the betas at which the interpolant of f_up over beta hits the levels
-    1 - i/(m-1), 0 < i < m-1, so that f_up becomes linear in the chain index.
-    `adapt_betas` steps toward them; at `beta_learning_rate` 1 the interior
-    betas become the targets, up to its `MIN_BETA_GAP` projection.
-
-    `f` is the measured f_up as a list of Python floats, clamped in place:
-    its ends are pinned to 1 and 0, then a running minimum with an
-    `_STRICT_EPS` tie-break makes it strictly decreasing, so that its
-    interpolant can be inverted.
-    """
-    m = len(f)
-    f[0] = 1.0
-    f[-1] = 0.0
-    # `y if y < x else x` is min(x, y) without a builtin call per slot
-    prev = 1.0
-    for i in range(1, m):
-        x, y = f[i], prev - _STRICT_EPS
-        prev = f[i] = y if y < x else x
-    return np.interp(_interior_levels(m), f[::-1], betas[::-1])
+    """The levels 1 - i/(m-1), 0 < i < m-1, that the respacing inverts,
+    read-only, as they are shared between calls."""
+    levels = (1.0 - np.arange(m) / (m - 1))[1:-1]
+    levels.setflags(write=False)
+    return levels
 
 
 def adapt_betas(ensemble: Ensemble, config: AdaptationConfig) -> None:
-    """Move interior betas one relaxation step toward the equal-mass targets.
+    """Move interior betas one relaxation step toward the equal-mass targets:
+    the betas at which the interpolant of f_up over beta hits the levels
+    1 - i/(m-1), 0 < i < m-1, so that f_up becomes linear in the chain
+    index. At `beta_learning_rate` 1 the interior betas become the targets,
+    up to the `MIN_BETA_GAP` projection.
 
-    Endpoints never move. A convex step between two strictly decreasing
-    ladders stays strictly decreasing; a minimal-gap projection guards
-    against floating-point ties.
+    The measured f_up, whose ends `f_up` pins to 1 and 0, takes a running
+    minimum with an `_STRICT_EPS` tie-break, which makes it strictly
+    decreasing, so that its interpolant can be inverted. Endpoints never
+    move. A convex step between two strictly decreasing ladders stays
+    strictly decreasing; a minimal-gap projection guards against
+    floating-point ties.
     """
     m = ensemble.num_chains
     if m <= 2:
         return
     betas = ensemble.betas
-    t = _interior_targets(betas, f_up(ensemble)).tolist()
+    f = f_up(ensemble)
+    # `y if y < x else x` is min(x, y) without a builtin call per slot
+    prev = 1.0
+    for i in range(1, m):
+        x, y = f[i], prev - _STRICT_EPS
+        prev = f[i] = y if y < x else x
+    t = np.interp(_interior_levels(m), f[::-1], betas[::-1]).tolist()
     mu = config.beta_learning_rate
     # one pass on Python floats does the step and the forward projection in
     # the same order as a vectorised step followed by the loop; the

@@ -380,14 +380,10 @@ def _chunk_terms(
 
 
 def free_energy(params: RbmParams, visible: np.ndarray) -> np.ndarray:
-    """F(v) = -log sum_h exp(-E(v, h)) at beta = 1, hidden layer summed
-    analytically.
-
-    Accepts a single vector (nv,) or a batch (m, nv).
-    """
-    act = visible @ params.weights.T
-    act += params.hidden_bias
-    return -(visible @ params.visible_bias + _softplus(act).sum(axis=-1))
+    """F(v) = -log sum_h exp(-E(v, h)) at beta = 1 of a batch (m, nv), the
+    hidden layer summed analytically: the negated chunk terms of the
+    visible-side enumeration in `exact_log_partition`."""
+    return -_chunk_terms(visible, params.visible_bias, params.weights, params.hidden_bias)
 
 
 @dataclass(frozen=True)
@@ -409,34 +405,24 @@ class DistinctRows:
     num_visible: int
 
 
-def distinct_rows(data: np.ndarray, num_visible: int | None = None) -> DistinctRows:
-    """m >= 1 binary rows as a DistinctRows; a ValueError for any other
-    input. Without `num_visible`, `data` is an (m, nv) array of 0/1 rows,
-    float or boolean, which is packed first. With it, `data` holds rows of
-    `num_visible` units already packed as `DistinctRows.rows` holds them,
-    as `dataset.sample_bits` draws them. Rows are grouped by their packed
-    bytes.
+def distinct_rows(packed: np.ndarray, num_visible: int) -> DistinctRows:
+    """m >= 1 rows of `num_visible` binary units, packed as
+    `DistinctRows.rows` holds them (as `dataset.sample_bits` draws them), as
+    a DistinctRows; a ValueError for any other input. Rows are grouped by
+    their packed bytes.
     """
-    data = np.asarray(data)
+    data = np.asarray(packed)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError(f"data must be a matrix of at least one row, got shape {data.shape}")
-    if num_visible is None:
-        num_visible = data.shape[1]
-        bits = data == 1
-        # the rows are binary when the ones are all the nonzero entries
-        if np.count_nonzero(bits) != np.count_nonzero(data):
-            raise ValueError("data rows must hold only 0 and 1")
-        data = np.packbits(bits, axis=1)
-    else:
-        width = -(-num_visible // 8)
-        if num_visible < 1 or data.dtype != np.uint8 or data.shape[1] != width:
-            raise ValueError(
-                f"packed rows of {num_visible} units must be uint8 of {width} bytes, "
-                f"got {data.dtype} of {data.shape[1]}"
-            )
-        # the last byte's low bits pad the row
-        if (data[:, -1] & ((1 << (8 * width - num_visible)) - 1)).any():
-            raise ValueError("packed rows must have zero padding bits")
+    width = -(-num_visible // 8)
+    if num_visible < 1 or data.dtype != np.uint8 or data.shape[1] != width:
+        raise ValueError(
+            f"packed rows of {num_visible} units must be uint8 of {width} bytes, "
+            f"got {data.dtype} of {data.shape[1]}"
+        )
+    # the last byte's low bits pad the row
+    if (data[:, -1] & ((1 << (8 * width - num_visible)) - 1)).any():
+        raise ValueError("packed rows must have zero padding bits")
     # one opaque record per row, so np.unique compares whole rows bytewise
     keys = data.view(np.dtype((np.void, data.shape[1]))).ravel()
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)

@@ -34,9 +34,7 @@ _SWAP_RATE_GAIN = 1.0 - SWAP_RATE_EMA_DECAY
 
 
 def linear_ladder(num_chains: int) -> np.ndarray:
-    """Betas equally spaced on [1, 0]."""
-    if num_chains == 1:
-        return np.array([1.0])
+    """Betas equally spaced on [1, 0]; [1] for one chain."""
     return np.linspace(1.0, 0.0, num_chains)
 
 
@@ -44,8 +42,6 @@ def geometric_ladder(num_chains: int) -> np.ndarray:
     """Betas geometric in temperature from 1 down to 0.01, then 0."""
     if num_chains == 1:
         return np.array([1.0])
-    if num_chains == 2:
-        return np.array([1.0, 0.0])
     body = np.geomspace(1.0, 0.01, num_chains - 1)
     return np.concatenate([body, [0.0]])
 
@@ -100,7 +96,7 @@ class Ensemble:
         m = len(betas)
         visible = (rng.random((m, num_visible)) < 0.5).astype(np.float64)
         hidden = (rng.random((m, num_hidden)) < 0.5).astype(np.float64)
-        return cls(np.asarray(betas, dtype=np.float64), visible, hidden)
+        return cls(betas, visible, hidden)
 
     @property
     def num_chains(self) -> int:

@@ -93,6 +93,13 @@ class TrainConfig:
         for name in ("post_sampling_steps", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        # an adaptive ladder that starts above its budget could never spawn
+        max_chains = self.adaptation.max_chains
+        if self.algorithm == ALGO_SML_APT and self.initial_num_chains > max_chains:
+            raise ValueError(
+                f"initial_num_chains ({self.initial_num_chains}) exceeds "
+                f"adaptation.max_chains ({max_chains})"
+            )
 
 
 @dataclass
@@ -360,11 +367,6 @@ def train_lockstep(
     num_visible) stack, as `dataset.BatchSampler` does. Returns the runs it
     stepped, in the order of `configs`.
     """
-    if eval_data is not None and not isinstance(eval_data, rbm.DistinctRows):
-        raise TypeError(
-            f"eval_data must be an rbm.DistinctRows (build one with rbm.distinct_rows), "
-            f"got {type(eval_data).__name__}"
-        )
     if not configs:
         raise ValueError("train_lockstep needs at least one config")
     shared = configs[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from rbmpt import experiment, rbm
 
-from oracles import random_params
+from oracles import packed_distinct_rows, random_params
 
 HIDDEN = (1, 3, 5, 8, 10, 12, 25)
 VISIBLE = (16, 64, 100, 784)
@@ -54,7 +54,7 @@ def blocked_digests() -> dict[str, str]:
             if min(nh, nv) <= ENUMERATED_UNITS:
                 out[f"log Z {nh}x{nv}"] = digest(rbm.exact_log_partition(p))
             for count in ROWS:
-                rows = rbm.distinct_rows(rng.random((count, nv)) < 0.5)
+                rows = packed_distinct_rows(rng.random((count, nv)) < 0.5)
                 out[f"products {nh}x{nv} rows {count}"] = digest(
                     rbm._row_products(p.weights, rows.rows)
                 )

@@ -17,7 +17,10 @@ product, scipy's logsumexp. A block's product may round another way than
 the one-call product, so the blocked forms must agree with them to within
 1e-13, and bit for bit at the ci preset's shape. `boolean_distinct_rows` is
 the snapshot reduction as it stood before the library kept the rows packed,
-and `unpacked_rows` reads packed rows back as booleans.
+`unpacked_rows` reads packed rows back as booleans, and
+`packed_distinct_rows` packs a 0/1 matrix for the library's
+`distinct_rows`. `reference_free_energy` is the free energy as it stood
+before the library took it from the enumeration's chunk terms.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from rbmpt.rbm import (
     IntractableModelError,
     RbmParams,
     _bit_patterns,
+    distinct_rows,
     energies,
 )
 from rbmpt.tempering import (
@@ -232,6 +236,21 @@ def boolean_distinct_rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     rows = bits[first[order]]
     counts = counts[order].astype(np.float64)
     return rows, counts, counts @ rows
+
+
+def packed_distinct_rows(data: np.ndarray) -> DistinctRows:
+    """`distinct_rows` of an (m, nv) array of 0/1 rows, float or boolean,
+    packed eight units to a byte as `dataset.sample_bits` packs them."""
+    bits = np.asarray(data) == 1
+    return distinct_rows(np.packbits(bits, axis=1), bits.shape[1])
+
+
+def reference_free_energy(params: RbmParams, visible: np.ndarray) -> np.ndarray:
+    """F(v) of a batch (m, nv) as one product, one softplus over it and a
+    sum: -(v . c + sum_j softplus(b + W v)_j)."""
+    act = visible @ params.weights.T
+    act += params.hidden_bias
+    return -(visible @ params.visible_bias + whole_softplus(act).sum(axis=-1))
 
 
 def random_params(rng: np.random.Generator, num_visible: int, num_hidden: int, scale: float = 1.0) -> RbmParams:

@@ -43,6 +43,7 @@ from oracles import (
     brute_model_moments,
     brute_visible_marginal,
     enumerate_bits,
+    packed_distinct_rows,
     random_params,
     reference_energy,
     respaced,
@@ -174,7 +175,7 @@ def test_criterion_1b_gradient_check():
         nh = int(rng.integers(2, min(12 - nv, 5) + 1))
         params = random_params(rng, nv, nh, scale=1.0)
         data = (rng.random((3, nv)) < 0.5).astype(float)
-        rows = rbm.distinct_rows(data)
+        rows = packed_distinct_rows(data)
 
         ew, eh, ev = brute_model_moments(params)
         pos = [brute_data_moments(params, v) for v in data]

@@ -585,6 +585,18 @@ BAD_SETTINGS = {
          "--out", str(d / "out")],
         d / "out",
     ),
+    "chains above the chain budget": lambda d: (
+        tiny_train_args(d / "out", ("--algo", "sml-apt", "--chains", "10", "--max-chains", "5")),
+        d / "out",
+    ),
+    "plan chains above the chain budget": lambda d: (
+        ["grid", "--plan", write_plan(
+            d / "p.json",
+            config={"algorithm": "sml-apt", "initial_num_chains": 10,
+                    "adaptation": {"max_chains": 5}},
+        ), "--out", str(d / "out")],
+        d / "out",
+    ),
     "seed in plan config": lambda d: (
         ["grid", "--plan", write_plan(d / "p.json", config={"seed": 7}), "--out", str(d / "out")],
         d / "out",
@@ -629,6 +641,20 @@ class TestSettings:
         assert "'a'" in err and "'seeds'" in err
         # a config outside a plan run keeps its seed
         assert experiment.config_from_dict({"seed": 7}).seed == 7
+
+    @pytest.mark.parametrize(
+        "case", ["chains above the chain budget", "plan chains above the chain budget"]
+    )
+    def test_chain_budget_names_both_settings(self, tmp_path, capsys, case):
+        argv, _ = BAD_SETTINGS[case](tmp_path)
+        assert exit_code(argv) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "initial_num_chains (10)" in err and "max_chains (5)" in err
+        # a ladder that starts at its budget is valid
+        args = cli.build_parser().parse_args(
+            ["train", "--algo", "sml-apt", "--chains", "5", "--max-chains", "5"]
+        )
+        assert cli.train_plan(args).runs[0].config.adaptation.max_chains == 5
 
     def test_unterminated_quote_names_file_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", "updates = 4\nlabel = 'run # one\n")

@@ -13,7 +13,7 @@ from rbmpt import cli, dataset, experiment, rbm, tempering, training
 from rbmpt.adaptation import AdaptationConfig
 from rbmpt.training import TrainConfig
 
-from oracles import random_params, reference_energies, same_bits
+from oracles import packed_distinct_rows, random_params, reference_energies, same_bits
 
 # (chains or minibatch rows, visible, hidden) at the ci and full presets' sizes
 SHAPES = {
@@ -187,7 +187,7 @@ def files_of(result, tmp_path, name):
 @pytest.mark.parametrize("case", LOCKSTEP_CASES, ids=LOCKSTEP_CASES.keys())
 def test_lockstep_seed_matches_seed_alone(case, tmp_path):
     config, sampler = LOCKSTEP_CASES[case], toy_sampler()
-    eval_data = rbm.distinct_rows(sampler(np.random.default_rng(76), 32))
+    eval_data = packed_distinct_rows(sampler(np.random.default_rng(76), 32))
     configs = [dataclasses.replace(config, seed=seed) for seed in LOCKSTEP_SEEDS]
     together = training.train_lockstep(configs, sampler, eval_data=eval_data)
     for config, got in zip(configs, together):

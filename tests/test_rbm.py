@@ -22,10 +22,12 @@ from oracles import (
     brute_log_pv,
     brute_joint_distribution,
     enumerate_bits,
+    packed_distinct_rows,
     random_params,
     reference_energies,
     reference_energy,
     reference_exact_log_likelihood,
+    reference_free_energy,
     reference_gibbs_sweep,
     same_bits,
     state_index,
@@ -345,7 +347,7 @@ class TestExactPartition:
 class TestExactLogLikelihood:
     def test_uniform_model(self):
         p = rbm.RbmParams(np.zeros((2, 5)), np.zeros(2), np.zeros(5))
-        data = rbm.distinct_rows(np.random.default_rng(14).random((4, 5)) < 0.5)
+        data = packed_distinct_rows(np.random.default_rng(14).random((4, 5)) < 0.5)
         assert rbm.exact_log_likelihood(p, data) == pytest.approx(
             -5 * np.log(2), rel=1e-12
         )
@@ -354,7 +356,7 @@ class TestExactLogLikelihood:
         rng = np.random.default_rng(15)
         p = random_params(rng, 3, 2, scale=1.2)
         v = np.array([1.0, 0.0, 1.0])
-        assert rbm.exact_log_likelihood(p, rbm.distinct_rows(v[None])) == pytest.approx(
+        assert rbm.exact_log_likelihood(p, packed_distinct_rows(v[None])) == pytest.approx(
             brute_log_pv(p, v), rel=1e-10
         )
 
@@ -363,7 +365,7 @@ class TestExactLogLikelihood:
         p = random_params(rng, 4, 3, scale=1.0)
         perm = [2, 0, 1]
         shuffled = rbm.RbmParams(p.weights[perm], p.hidden_bias[perm], p.visible_bias)
-        data = rbm.distinct_rows(rng.random((6, 4)) < 0.5)
+        data = packed_distinct_rows(rng.random((6, 4)) < 0.5)
         assert rbm.exact_log_likelihood(p, data) == pytest.approx(
             rbm.exact_log_likelihood(shuffled, data), rel=1e-12
         )
@@ -401,7 +403,7 @@ class TestDistinctRows:
         assert same_bits(eval_rows.visible_sum, raw.sum(axis=0))
 
     def test_arrays_are_read_only(self):
-        eval_rows = rbm.distinct_rows(np.eye(3))
+        eval_rows = packed_distinct_rows(np.eye(3))
         for array in (eval_rows.rows, eval_rows.counts, eval_rows.visible_sum):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -412,14 +414,14 @@ class TestDistinctRows:
         # padding: rows that differ only in that bit stay apart
         a, b, c, d = np.zeros(9), np.eye(9)[8], np.eye(9)[0], np.ones(9)
         data = np.array([a, b, a, c, b, a, d])
-        eval_rows = rbm.distinct_rows(data)
+        eval_rows = packed_distinct_rows(data)
         assert same_bits(unpacked_rows(eval_rows), np.array([a, b, c, d]) == 1)
         assert same_bits(eval_rows.counts, np.array([3.0, 2.0, 1.0, 1.0]))
         assert same_bits(eval_rows.visible_sum, data.sum(axis=0))
 
     def test_rejects_empty_data(self):
         with pytest.raises(ValueError):
-            rbm.distinct_rows(np.zeros((0, 4)))
+            rbm.distinct_rows(np.zeros((0, 1), dtype=np.uint8), 4)
 
     @pytest.mark.parametrize(
         "data",
@@ -427,8 +429,9 @@ class TestDistinctRows:
         ids=["two", "half", "nan", "vector", "3-d"],
     )
     def test_rejects_anything_but_binary_rows(self, data):
+        data = np.array(data, dtype=np.float64)
         with pytest.raises(ValueError):
-            rbm.distinct_rows(np.array(data, dtype=np.float64))
+            rbm.distinct_rows(data, data.shape[-1])
 
     @pytest.mark.parametrize(
         "packed, num_visible",
@@ -440,8 +443,15 @@ class TestDistinctRows:
             (np.array([[0b1], [0]], dtype=np.uint8), 7),  # the padding bit set
             (np.array([[0, 0b1]], dtype=np.uint8), 9),
             (np.zeros((2, 0), dtype=np.uint8), 0),
+            # 0/1 matrices of one unit per entry, not packed
+            (np.eye(9), 9),
+            (np.eye(9, dtype=bool), 9),
+            (np.ones((2, 1)), 1),  # one byte wide, but not bytes
         ],
-        ids=["too wide", "too narrow", "float", "bool", "padding", "padding-9", "no units"],
+        ids=[
+            "too wide", "too narrow", "float", "bool", "padding", "padding-9", "no units",
+            "unpacked float", "unpacked bool", "unpacked one unit",
+        ],
     )
     def test_rejects_bad_packed_rows(self, packed, num_visible):
         with pytest.raises(ValueError):
@@ -454,19 +464,14 @@ class TestDistinctRows:
         data = rng.random((300, nv)) < rng.uniform(0.05, 0.5, nv)
         data = np.concatenate([data, data[rng.integers(0, 300, 200)]])
         want_rows, want_counts, want_sum = boolean_distinct_rows(data)
-        packed = np.packbits(data, axis=1)
-        for got in (
-            rbm.distinct_rows(data),
-            rbm.distinct_rows(data.astype(np.float64)),
-            rbm.distinct_rows(packed, nv),
-        ):
-            assert got.num_visible == nv and got.size == data.shape[0]
-            assert got.rows.shape == (want_rows.shape[0], -(-nv // 8))
-            assert same_bits(unpacked_rows(got), want_rows)
-            assert same_bits(got.counts, want_counts)
-            assert same_bits(got.visible_sum, want_sum)
-            # the padding bits are zero: packing the unpacked rows gives them back
-            assert same_bits(np.packbits(unpacked_rows(got), axis=1), got.rows)
+        got = rbm.distinct_rows(np.packbits(data, axis=1), nv)
+        assert got.num_visible == nv and got.size == data.shape[0]
+        assert got.rows.shape == (want_rows.shape[0], -(-nv // 8))
+        assert same_bits(unpacked_rows(got), want_rows)
+        assert same_bits(got.counts, want_counts)
+        assert same_bits(got.visible_sum, want_sum)
+        # the padding bits are zero: packing the unpacked rows gives them back
+        assert same_bits(np.packbits(unpacked_rows(got), axis=1), got.rows)
 
 
 class TestLikelihoodOnDistinctRows:
@@ -482,12 +487,12 @@ class TestLikelihoodOnDistinctRows:
         # rows of the wrong width would fail the product with a plain ValueError
         p = rbm.RbmParams(np.zeros((30, 30)), np.zeros(30), np.zeros(30))
         with pytest.raises(rbm.IntractableModelError):
-            rbm.exact_log_likelihood(p, rbm.distinct_rows(np.zeros((2, 7))))
+            rbm.exact_log_likelihood(p, packed_distinct_rows(np.zeros((2, 7))))
 
     def test_width_mismatch_names_both_widths(self):
         # packed rows of 7 and of 8 units are one byte wide alike
         p = random_params(np.random.default_rng(24), 8, 3)
-        data = rbm.distinct_rows(np.eye(7))
+        data = packed_distinct_rows(np.eye(7))
         assert data.rows.shape[1] == 1
         with pytest.raises(ValueError, match="data rows have 7 units, the model 8 visible"):
             rbm.exact_log_likelihood(p, data)
@@ -574,7 +579,7 @@ class TestBlockedEvaluation:
         count = blocks * rbm._block_rows(nh * nv) + extra
         rng = np.random.default_rng(count)
         data = rng.random((count, nv)) < 0.5
-        eval_rows = rbm.distinct_rows(np.concatenate([data, data[::3]]))
+        eval_rows = packed_distinct_rows(np.concatenate([data, data[::3]]))
         assert eval_rows.rows.shape[0] == count
         for _ in range(3):
             p = random_params(rng, nv, nh, scale=weight_scale)
@@ -708,6 +713,27 @@ class TestSoftplus:
         assert np.all(np.abs(got[finite] - want[finite]) <= 4 * np.spacing(want[finite]))
         assert same_bits(got[~finite], want[~finite])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300), st.integers(1, 40), st.integers(1, 12), st.integers(0, 2**32 - 1)
+    )
+    def test_free_energy_matches_reference_bits(self, m, nv, nh, seed):
+        # every batch drawn here is one block of the blocked product
+        assert m <= rbm._block_rows(nh * nv)
+        rng = np.random.default_rng(seed)
+        p = random_params(rng, nv, nh, scale=2.0)
+        v = (rng.random((m, nv)) < 0.5).astype(np.float64)
+        assert same_bits(rbm.free_energy(p, v), reference_free_energy(p, v))
+
+    @pytest.mark.parametrize("m, nv, nh", [(65, 784, 10), (300, 784, 25), (1025, 64, 8)])
+    def test_free_energy_of_several_blocks(self, m, nv, nh):
+        # a block's product may round another way than the one-call product
+        rng = np.random.default_rng(m)
+        p = random_params(rng, nv, nh, scale=0.3)
+        v = (rng.random((m, nv)) < 0.5).astype(np.float64)
+        assert m > rbm._block_rows(nh * nv)
+        assert rbm.free_energy(p, v) == pytest.approx(reference_free_energy(p, v), rel=1e-13)
+
     def test_free_energy_and_partition_match_logaddexp(self):
         rng = np.random.default_rng(22)
         p = random_params(rng, 6, 4, scale=2.0)
@@ -729,7 +755,7 @@ class TestGradientCheck:
             nh = int(rng.integers(2, min(12 - nv, 5) + 1))
             p = random_params(rng, nv, nh, scale=1.0)
             data = (rng.random((3, nv)) < 0.5).astype(float)
-            rows = rbm.distinct_rows(data)
+            rows = packed_distinct_rows(data)
 
             ew, eh, ev = brute_model_moments(p)
             pos = [brute_data_moments(p, v) for v in data]

@@ -7,7 +7,7 @@ from rbmpt.adaptation import AdaptationConfig
 from rbmpt.training import TrainConfig
 
 from metrics_io import read_metrics_csv
-from oracles import random_params, reference_sml_update, same_bits
+from oracles import packed_distinct_rows, random_params, reference_sml_update, same_bits
 
 
 def toy_stream(width=6, seed=50):
@@ -183,13 +183,13 @@ class TestTrainLoop:
 
     def test_post_sampling_freezes_params(self):
         config = small_config(num_updates=20, post_sampling_steps=20, eval_interval=20)
-        eval_data = rbm.distinct_rows(toy_stream()(np.random.default_rng(53), 64))
+        eval_data = packed_distinct_rows(toy_stream()(np.random.default_rng(53), 64))
         result = training.train(config, toy_stream(), eval_data=eval_data)
         by_index = {rec.update_index: rec for rec in result.metrics}
         assert by_index[20].train_loglik == by_index[40].train_loglik
 
     def test_likelihood_column(self):
-        eval_data = rbm.distinct_rows(toy_stream()(np.random.default_rng(54), 32))
+        eval_data = packed_distinct_rows(toy_stream()(np.random.default_rng(54), 32))
         result = training.train(small_config(), toy_stream(), eval_data=eval_data)
         assert all(np.isfinite(rec.train_loglik) for rec in result.metrics)
         no_eval = training.train(small_config(), toy_stream())
@@ -199,7 +199,7 @@ class TestTrainLoop:
         # both layers above rbm.EXACT_LAYER_CAP: every row reads n/a
         config = small_config(num_hidden=26, num_updates=3, eval_interval=3)
         stream = toy_stream(width=26)
-        eval_data = rbm.distinct_rows(stream(np.random.default_rng(58), 8))
+        eval_data = packed_distinct_rows(stream(np.random.default_rng(58), 8))
         result = training.train(config, stream, eval_data=eval_data)
         assert [rec.train_loglik for rec in result.metrics] == [None, None]
 
@@ -214,7 +214,7 @@ class TestTrainLoop:
 
 class TestDeterminism:
     def test_metrics_csv_is_byte_identical(self, tmp_path):
-        eval_data = rbm.distinct_rows(toy_stream()(np.random.default_rng(56), 32))
+        eval_data = packed_distinct_rows(toy_stream()(np.random.default_rng(56), 32))
         config = small_config(algorithm="sml-apt")
         paths = []
         for name in ("a.csv", "b.csv"):
@@ -225,7 +225,7 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_csv_roundtrip(self, tmp_path):
-        eval_data = rbm.distinct_rows(toy_stream()(np.random.default_rng(57), 16))
+        eval_data = packed_distinct_rows(toy_stream()(np.random.default_rng(57), 16))
         result = training.train(small_config(), toy_stream(), eval_data=eval_data)
         path = tmp_path / "metrics.csv"
         training.write_metrics_csv(path, result.metrics)
@@ -252,3 +252,11 @@ class TestConfigValidation:
             TrainConfig(post_sampling_steps=-1)
         with pytest.raises(ValueError):
             TrainConfig(initial_ladder="harmonic")
+
+    def test_adaptive_ladder_starts_within_its_budget(self):
+        budget = AdaptationConfig(max_chains=5)
+        with pytest.raises(ValueError, match=r"initial_num_chains \(6\).*max_chains \(5\)"):
+            TrainConfig(algorithm="sml-apt", initial_num_chains=6, adaptation=budget)
+        assert TrainConfig(algorithm="sml-apt", initial_num_chains=5, adaptation=budget)
+        # a fixed ladder never spawns, so its budget is not read
+        assert TrainConfig(algorithm="sml-pt", initial_num_chains=6, adaptation=budget)
