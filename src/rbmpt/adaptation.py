@@ -126,20 +126,25 @@ def maybe_spawn(
     The new chain splits the pair with the largest f_up jump, sits at the
     midpoint beta, and copies the state of its lower-beta neighbour. A fixed
     burn-in window follows, during which respacing and further spawning are
-    suspended. Returns None (and changes nothing) when the rate is healthy,
-    during burn-in, or when the chain budget is exhausted.
+    suspended. Returns None (and changes nothing) when the rate is healthy
+    or during burn-in. Also returns None when the chain budget is spent,
+    which adds one to the ensemble's `saturated_checks`; the first such
+    check of a run logs a warning.
     """
     if ensemble.burn_in_remaining > 0:
         return None
     if average_swap_rate(ensemble) >= config.min_avg_swap_rate:
         return None
     if ensemble.num_chains >= config.max_chains:
-        logger.warning(
-            "swap rate %.3f below %.3f but chain budget (%d) is saturated",
-            average_swap_rate(ensemble),
-            config.min_avg_swap_rate,
-            config.max_chains,
-        )
+        ensemble.saturated_checks += 1
+        if ensemble.saturated_checks == 1:
+            logger.warning(
+                "swap rate %.3f below %.3f but chain budget (%d) is saturated; "
+                "further saturated checks are counted, not logged",
+                average_swap_rate(ensemble),
+                config.min_avg_swap_rate,
+                config.max_chains,
+            )
         return None
     frac = f_up(ensemble)
     gap = int(np.argmax(np.abs(np.diff(frac))))

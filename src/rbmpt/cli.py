@@ -223,7 +223,8 @@ def grid_plan(args) -> ExperimentPlan:
         if shape:
             flag = next(iter(shape)).replace("_", "-")
             raise ValueError(f"--{flag} shapes the presets only, not a --plan")
-        plan = load_plan(args.plan)
+        # --out, then the plan's output_dir, then RBMPT_OUTDIR, then "."
+        plan = load_plan(args.plan, _default_outdir(args))
         if args.out is not None:
             plan.output_dir = args.out
     else:

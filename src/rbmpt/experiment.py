@@ -127,7 +127,9 @@ def config_from_dict(record: dict) -> TrainConfig:
     return TrainConfig(**_fields(record, TrainConfig, "config"))
 
 
-def plan_from_dict(record: dict) -> ExperimentPlan:
+def plan_from_dict(record: dict, output_dir: str = ".") -> ExperimentPlan:
+    """The plan `record` describes; `output_dir` stands in for a missing
+    'output_dir' key."""
     _known(record, ("dataset", "output_dir", "runs"), "plan")
     data = DatasetSettings(**_fields(record.get("dataset", {}), DatasetSettings, "dataset"))
     runs = []
@@ -147,13 +149,13 @@ def plan_from_dict(record: dict) -> ExperimentPlan:
                 seeds=[_typed(seed, int, f"seeds of {label!r}") for seed in seeds],
             )
         )
-    output_dir = _typed(record.get("output_dir", "."), str, "plan key 'output_dir'")
+    output_dir = _typed(record.get("output_dir", output_dir), str, "plan key 'output_dir'")
     return ExperimentPlan(runs=runs, data=data, output_dir=output_dir)
 
 
-def load_plan(path) -> ExperimentPlan:
+def load_plan(path, output_dir: str = ".") -> ExperimentPlan:
     with open(path) as fh:
-        return plan_from_dict(json.load(fh))
+        return plan_from_dict(json.load(fh), output_dir)
 
 
 def build_dataset(data: DatasetSettings) -> tuple[ds.MixtureSpec, rbm.DistinctRows | None]:
@@ -263,6 +265,7 @@ def _write_label(
                 "modeled_seconds": final.wall_clock_seconds,
             },
             "spawn_events": [dataclasses.asdict(ev) for ev in result.spawn_events],
+            "saturated_spawn_checks": result.ensemble.saturated_checks,
             "diverged_at": result.diverged_at,
             **timing,
         }

@@ -134,34 +134,17 @@ def init_params(num_visible: int, num_hidden: int, rng: np.random.Generator) -> 
 
 
 def energies(
-    params: RbmParams, visible: np.ndarray, hidden: np.ndarray, product=None
+    visible: np.ndarray, hidden: np.ndarray, product: np.ndarray, hidden_column: np.ndarray
 ) -> np.ndarray:
-    """Joint energies of a batch of states, visible (m, nv) and hidden
-    (m, nh), as E = -(v . (h W + c) + h . b). `product` is the visible
-    pre-activation `hidden @ params.weights + params.visible_bias` if the
-    caller has it (the Gibbs kernel's); otherwise it is computed here, with
-    the same operations, so both give the same bits."""
-    # one BLAS product, then a row-wise dot: a three-operand einsum would
-    # run numpy's unblocked loop instead
-    if product is None:
-        product = hidden @ params.weights
-        product += params.visible_bias
-    return -(np.vecdot(product, visible) + hidden @ params.hidden_bias)
-
-
-def stacked_energies(
-    params: RbmParams, visible: np.ndarray, hidden: np.ndarray, product=None
-) -> np.ndarray:
-    """`energies` of R replicas in one call: stacked params, visible
-    (R, m, nv), hidden (R, m, nh) and, if the caller has it, the stacked
-    pre-activation (R, m, nv) give (R, m), row r with the bits of
-    `energies` on replica r."""
-    if product is None:
-        product = hidden @ params.weights
-        product += params.visible_bias
-    # a (m, n) @ (n, 1) product per slice is the 2-D matrix-vector product
-    hidden_term = (hidden @ params.hidden_bias.mT)[..., 0]
-    return -(np.vecdot(product, visible) + hidden_term)
+    """Joint energies E = -(v . (h W + c) + h . b) of a batch of states,
+    visible (m, nv) and hidden (m, nh), from the visible pre-activation
+    `product` = h W + c, (m, nv), that `gibbs_sweep_chains` returns, and the
+    hidden bias as a column, (nh, 1). A stack of R replicas takes (R, m, ·)
+    states, an (R, nh, 1) column (`hidden_bias.mT` of stacked params) and
+    gives (R, m), row r with the bits of replica r's own call."""
+    # a (m, n) @ (n, 1) product per replica is the 2-D matrix-vector
+    # product, so a lone batch and each replica of a stack get the same bits
+    return -(np.vecdot(product, visible) + (hidden @ hidden_column)[..., 0])
 
 
 def expit(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -215,7 +198,7 @@ def gibbs_sweep_chains(
     betas: np.ndarray,
     steps: int,
     uniforms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance m chains by `steps` Gibbs alternations, chain i at betas[i]:
     h ~ p_beta(h | v) = logistic(beta (b + W v)), then v ~ p_beta(v | h) =
     logistic(beta (c + W' h)).
@@ -226,9 +209,9 @@ def gibbs_sweep_chains(
     probability; that 0/1 value overwrites the uniform, so the states
     returned are views of `uniforms`. Also returned, for `energies`, is the
     last visible phase's pre-activation `hidden @ weights + visible_bias`,
-    before the beta scaling (None for 0 steps). It is kept as its own array
-    at every size: the swap energies need it, and keeping it costs less than
-    recomputing it, even at 50 chains of 784 units.
+    before the beta scaling. It is kept as its own array at every size: the
+    swap energies need it, and keeping it costs less than recomputing it,
+    even at 50 chains of 784 units. `steps` must be at least 1.
 
     A stack of R replicas runs in the same calls: stacked params, visible
     (R, m, nv), hidden (R, m, nh), betas (R, m) and uniforms (R, n), row
@@ -241,8 +224,8 @@ def gibbs_sweep_chains(
     draws leave this function, and a draw changes only when its uniform
     falls inside that band, which has probability at most 2^-52 per draw.
     """
-    if steps < 0:
-        raise ValueError(f"gibbs_steps must be 0 or more, got {steps}")
+    if steps < 1:
+        raise ValueError(f"gibbs_steps must be 1 or more, got {steps}")
     b = betas[..., None]
     weights = params.weights
     weights_t = weights.mT
@@ -255,7 +238,6 @@ def gibbs_sweep_chains(
     # chosen per replica, so a replica's bits do not depend on the stack size
     hidden_logistic = _logistic_for(m * nh)
     visible_logistic = _logistic_for(m * nv)
-    product = None
     start = 0
     for _ in range(steps):
         ph = visible @ weights_t

@@ -50,8 +50,9 @@ class Ensemble:
     """Ordered beta ladder with one persistent particle per slot.
 
     Also carries the flow histograms (EMA-smoothed), per-pair swap-rate
-    estimates, the return-time estimate tau_hat, the DEO parity, and the
-    post-spawn burn-in countdown. The histograms are one (2, M) buffer,
+    estimates, the return-time estimate tau_hat, the DEO parity, the
+    post-spawn burn-in countdown, and the number of spawn checks that found
+    the chain budget spent. The histograms are one (2, M) buffer,
     `flow`: its rows count up particles, then down particles, per slot.
     """
 
@@ -82,6 +83,7 @@ class Ensemble:
         self.tau_hat = 1.0
         self.sweep_parity = 0
         self.burn_in_remaining = 0
+        self.saturated_checks = 0
         self.round_trip_ema: float | None = None
 
     @classmethod
@@ -184,20 +186,20 @@ def deo_sweep(
 
     The sweep draws all its uniforms in one `rng.random` call: the Gibbs
     steps' blocks, then one per proposed pair, the doubles that drawing
-    them phase by phase would give. The swap energies take the Gibbs
-    kernel's last visible pre-activation `hidden @ weights + visible_bias`,
-    which has the bits `rbm.energies` would compute for it.
+    them phase by phase would give. `rbm.energies` takes the Gibbs kernel's
+    last visible pre-activation `hidden @ weights + visible_bias`, so a
+    sweep takes at least one Gibbs step.
 
     An `EnsembleStack` sweeps all its members in one Gibbs call and one
-    `rbm.stacked_energies` call, with stacked `params` (`RbmParams.view` of
-    an (R, P) buffer) and `rng` a list of one generator per member. Each
+    `rbm.energies` call, with stacked `params` (`RbmParams.view` of an
+    (R, P) buffer) and `rng` a list of one generator per member. Each
     member draws from its own generator, in the order a lone sweep draws,
     decides its own swaps, and ends in the state a lone sweep would leave.
     The lone sweep keeps its own body: one body with per-member gathers gave
     the same bits but made the lone sweep about 15% slower.
     """
-    if gibbs_steps < 0:
-        raise ValueError(f"gibbs_steps must be 0 or more, got {gibbs_steps}")
+    if gibbs_steps < 1:
+        raise ValueError(f"gibbs_steps must be 1 or more, got {gibbs_steps}")
     if isinstance(ensemble, EnsembleStack):
         _deo_sweep_stack(ensemble, params, gibbs_steps, rng)
         return
@@ -209,7 +211,7 @@ def deo_sweep(
         params, ensemble.visible, ensemble.hidden, ensemble.betas, gibbs_steps, uniforms
     )
     if pairs:
-        e = rbm.energies(params, visible, hidden, product).tolist()
+        e = rbm.energies(visible, hidden, product, params.hidden_bias[:, None]).tolist()
         order = _swap_round(ensemble, e, uniforms[gibbs_draws:].tolist())
         if order is not None:
             # an accepted pair trades rows: one gather per particle array
@@ -237,7 +239,7 @@ def _deo_sweep_stack(
         params, stack.visible, stack.hidden, stack.betas, gibbs_steps, uniforms
     )
     if pairs:
-        e = rbm.stacked_energies(params, visible, hidden, product).tolist()
+        e = rbm.energies(visible, hidden, product, params.hidden_bias.mT).tolist()
         swap_uniforms = uniforms[:, gibbs_draws:].tolist()
         orders = [_swap_round(ens, row, u) for ens, row, u in zip(members, e, swap_uniforms)]
         if orders.count(None) < len(orders):

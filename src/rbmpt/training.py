@@ -93,12 +93,17 @@ class TrainConfig:
         for name in ("post_sampling_steps", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        # an adaptive ladder that starts above its budget could never spawn
-        max_chains = self.adaptation.max_chains
-        if self.algorithm == ALGO_SML_APT and self.initial_num_chains > max_chains:
+        # one chain has no swap pair to respace or spawn from, and a ladder
+        # that starts above its budget could never spawn
+        chains, max_chains = self.initial_num_chains, self.adaptation.max_chains
+        if self.algorithm == ALGO_SML_APT and chains < 2:
             raise ValueError(
-                f"initial_num_chains ({self.initial_num_chains}) exceeds "
-                f"adaptation.max_chains ({max_chains})"
+                f"initial_num_chains ({chains}) must be 2 or more for sml-apt: "
+                f"one chain never respaces or spawns"
+            )
+        if self.algorithm == ALGO_SML_APT and chains > max_chains:
+            raise ValueError(
+                f"initial_num_chains ({chains}) exceeds adaptation.max_chains ({max_chains})"
             )
 
 

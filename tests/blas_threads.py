@@ -94,7 +94,7 @@ def sampler_digests() -> dict[str, str]:
         name = f"sampler {m} chains draw {seed}"
         out[f"{name} states"] = digest(np.concatenate([v.ravel(), h.ravel()]))
         out[f"{name} pre-activation"] = digest(kept)
-        out[f"{name} energies"] = digest(rbm.energies(p, v, h))
+        out[f"{name} energies"] = digest(rbm.energies(v, h, kept, p.hidden_bias[:, None]))
         out[f"{name} hidden conditional"] = digest(
             rbm.hidden_conditional(p, visible[:CONDITIONAL_ROWS])
         )

@@ -8,7 +8,9 @@ The `reference_*` functions are plain out-of-place formulas for the
 library's hot-path kernels: the samplers draw from the generator block by
 block, phase by phase, which the library's one-block draws must match, and
 the update rules use numpy scalars and masked adds. The library must
-reproduce their output bit for bit.
+reproduce their output bit for bit. `kernel_energies` computes the visible
+pre-activation that the swap-energy kernel takes from the Gibbs kernel, so
+that kernel can be checked against `reference_energies` on any states.
 
 The `unblocked_*` functions are the exact partition function and likelihood
 as they stood before the library streamed them in blocks: one product over
@@ -80,6 +82,19 @@ def reference_energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarra
     activation = hidden @ params.weights + params.visible_bias
     interaction = np.array([activation[i] @ visible[i] for i in range(len(visible))])
     return -(interaction + hidden @ params.hidden_bias)
+
+
+def kernel_energies(params: RbmParams, visible: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """`rbm.energies` of a batch, or with stacked params of a stack, fed the
+    visible pre-activation `hidden @ weights + visible_bias` computed here
+    with the Gibbs kernel's operations, and the hidden-bias column that
+    `deo_sweep` passes: `hidden_bias[:, None]` alone, `hidden_bias.mT` for
+    a stack."""
+    product = hidden @ params.weights
+    product += params.visible_bias
+    stacked = params.flat.ndim == 2
+    column = params.hidden_bias.mT if stacked else params.hidden_bias[:, None]
+    return energies(visible, hidden, product, column)
 
 
 def energy_table(params: RbmParams) -> np.ndarray:
@@ -294,9 +309,9 @@ def reference_gibbs_sweep(
 def reference_deo_sweep(ensemble, params: RbmParams, gibbs_steps: int, rng):
     """One DEO sweep of a lone `ensemble`, drawn phase by phase:
     `reference_gibbs_sweep`, then one `rng.random` call with one uniform per
-    proposed pair, decided by `swap_ratio` on energies from a fresh
-    pre-activation `hidden @ weights + visible_bias`. The bookkeeping is written out step by step
-    on new arrays, which replace the ensemble's."""
+    proposed pair, decided by `swap_ratio` on `reference_energies`. The
+    bookkeeping is written out step by step on new arrays, which replace
+    the ensemble's."""
     betas = ensemble.betas.tolist()
     m = len(betas)
     visible, hidden = reference_gibbs_sweep(
@@ -307,7 +322,7 @@ def reference_deo_sweep(ensemble, params: RbmParams, gibbs_steps: int, rng):
     rates = ensemble.swap_rate_ema.copy()
     pairs = range(ensemble.sweep_parity, m - 1, 2)
     if len(pairs):
-        e = energies(params, visible, hidden).tolist()
+        e = reference_energies(params, visible, hidden).tolist()
         for i, u in zip(pairs, rng.random(len(pairs)).tolist()):
             accept = u < tempering.swap_ratio(e[i], e[i + 1], betas[i], betas[i + 1])
             gain = 1.0 - SWAP_RATE_EMA_DECAY if accept else 0.0

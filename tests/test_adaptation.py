@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbmpt import adaptation, rbm, tempering
+from rbmpt import adaptation, experiment, rbm, tempering
 from rbmpt.adaptation import _STRICT_EPS, MIN_BETA_GAP, AdaptationConfig
 from rbmpt.tempering import UNSET, Ensemble
 
@@ -247,6 +248,35 @@ class TestMaybeSpawn:
         assert got is None
         assert ens.num_chains == 3
         assert "saturated" in caplog.text
+        # later saturated checks are counted, not logged
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert adaptation.maybe_spawn(ens, AdaptationConfig(max_chains=3)) is None
+        assert caplog.records == [] and ens.saturated_checks == 2
+
+    def test_saturated_budget_warns_once_per_run(self, tmp_path, caplog):
+        # two chains under a floor of 0.99 spawn up to the budget of 3 and
+        # then find it spent at check after check: one warning for the run,
+        # and the sidecar counts every check
+        config = {
+            "algorithm": "sml-apt", "learning_rate": 1e-2, "num_updates": 600,
+            "minibatch_size": 4, "initial_num_chains": 2, "num_hidden": 3,
+            "eval_interval": 600,
+            "adaptation": {"min_avg_swap_rate": 0.99, "spawn_check_interval": 10,
+                           "burn_in_sweeps": 5, "max_chains": 3},
+        }
+        plan = experiment.plan_from_dict(
+            {"dataset": {"image_side": 3, "eval_size": 20},
+             "runs": [{"label": "apt", "seeds": [4], "config": config}]},
+            str(tmp_path),
+        )
+        with caplog.at_level(logging.WARNING):
+            assert experiment.run_experiment(plan) == 0
+        saturated = [r for r in caplog.records if "saturated" in r.getMessage()]
+        assert len(saturated) == 1 and saturated[0].levelno == logging.WARNING
+        sidecar = json.loads((tmp_path / f"{experiment.run_stem('apt', 4)}.json").read_text())
+        assert [event["num_chains"] for event in sidecar["spawn_events"]] == [3]
+        assert sidecar["saturated_spawn_checks"] > 1
 
 
 class TestSpawnedLadder:

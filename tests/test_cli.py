@@ -139,6 +139,26 @@ class TestTrainCommand:
         assert run_cli(args) == 0
         assert (tmp_path / "envout" / "run__seed3.csv").exists()
 
+    def test_plan_outdir_order(self, tmp_path, monkeypatch):
+        # --out, then the plan's output_dir, then RBMPT_OUTDIR, then "."
+        monkeypatch.chdir(tmp_path)
+        bare = write_plan(tmp_path / "bare.json")
+        placed = write_plan(tmp_path / "placed.json", plan={"output_dir": "planned"})
+
+        def out_dir(plan, *extra):
+            args = cli.build_parser().parse_args(["grid", "--plan", plan, *extra])
+            return cli.grid_plan(args).output_dir
+
+        monkeypatch.delenv("RBMPT_OUTDIR", raising=False)
+        assert out_dir(bare) == "."
+        monkeypatch.setenv("RBMPT_OUTDIR", "envout")
+        assert out_dir(bare) == "envout"
+        assert out_dir(placed) == "planned"
+        assert out_dir(placed, "--out", "flag") == out_dir(bare, "--out", "flag") == "flag"
+        assert run_cli(["grid", "--plan", bare]) == 0
+        assert (tmp_path / "envout" / "planned__seed0.csv").exists()
+        assert not (tmp_path / "planned__seed0.csv").exists()
+
 
 # sha256 of each preset plan's fields, as sorted-key JSON of
 # `dataclasses.asdict(plan)`. Re-record a digest only when that preset is
@@ -597,6 +617,15 @@ BAD_SETTINGS = {
         ), "--out", str(d / "out")],
         d / "out",
     ),
+    "adaptive ladder of one chain": lambda d: (
+        tiny_train_args(d / "out", ("--algo", "sml-apt", "--chains", "1")), d / "out"
+    ),
+    "plan adaptive ladder of one chain": lambda d: (
+        ["grid", "--plan", write_plan(
+            d / "p.json", config={"algorithm": "sml-apt", "initial_num_chains": 1},
+        ), "--out", str(d / "out")],
+        d / "out",
+    ),
     "seed in plan config": lambda d: (
         ["grid", "--plan", write_plan(d / "p.json", config={"seed": 7}), "--out", str(d / "out")],
         d / "out",
@@ -655,6 +684,14 @@ class TestSettings:
             ["train", "--algo", "sml-apt", "--chains", "5", "--max-chains", "5"]
         )
         assert cli.train_plan(args).runs[0].config.adaptation.max_chains == 5
+
+    @pytest.mark.parametrize(
+        "case", ["adaptive ladder of one chain", "plan adaptive ladder of one chain"]
+    )
+    def test_one_chain_adaptive_ladder_names_the_setting(self, tmp_path, capsys, case):
+        argv, _ = BAD_SETTINGS[case](tmp_path)
+        assert exit_code(argv) == cli.USAGE_ERROR
+        assert "initial_num_chains (1) must be 2 or more" in capsys.readouterr().err
 
     def test_unterminated_quote_names_file_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", "updates = 4\nlabel = 'run # one\n")

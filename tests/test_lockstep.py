@@ -8,12 +8,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbmpt import cli, dataset, experiment, rbm, tempering, training
 from rbmpt.adaptation import AdaptationConfig
 from rbmpt.training import TrainConfig
 
-from oracles import packed_distinct_rows, random_params, reference_energies, same_bits
+from oracles import (
+    kernel_energies,
+    packed_distinct_rows,
+    random_params,
+    reference_energies,
+    same_bits,
+)
 
 # (chains or minibatch rows, visible, hidden) at the ci and full presets' sizes
 SHAPES = {
@@ -64,14 +72,15 @@ def test_stacked_kernels_match_lone_calls(replicas, shape):
     draws = 2 * m * (nv + nh)
     uniforms = rbm.stacked_random([np.random.default_rng(s) for s in range(replicas)])((draws,))
     got = rbm.gibbs_sweep_chains(stacked, visible, hidden, betas, 2, uniforms)
-    energies = rbm.stacked_energies(stacked, visible, hidden)
+    energies = kernel_energies(stacked, visible, hidden)
     conditional = rbm.hidden_conditional(stacked, visible)
     for r, params in enumerate(lone):
         want = rbm.gibbs_sweep_chains(
             params, visible[r], hidden[r], betas[r], 2, np.random.default_rng(r).random(draws)
         )
         assert same_bits(got[0][r], want[0]) and same_bits(got[1][r], want[1])
-        assert same_bits(energies[r], rbm.energies(params, visible[r], hidden[r]))
+        assert same_bits(energies[r], kernel_energies(params, visible[r], hidden[r]))
+        assert same_bits(energies[r], reference_energies(params, visible[r], hidden[r]))
         assert same_bits(conditional[r], rbm.hidden_conditional(params, visible[r]))
 
 
@@ -81,8 +90,8 @@ def test_stacked_kernels_match_lone_calls(replicas, shape):
 def test_kept_product_gives_the_recomputed_energies(replicas, shape, steps):
     # the swap energies take the Gibbs kernel's last visible pre-activation
     # hidden @ weights + visible_bias, kept at every size: they must be the
-    # bits of the energies that compute it afresh, and of the term-by-term
-    # oracle
+    # bits of the energies of a pre-activation computed afresh, and of the
+    # term-by-term oracle, lone and per replica of a stack
     m, nv, nh = shape
     rng = np.random.default_rng(79)
     lone, stacked = stack_params(rng, replicas, nv, nh)
@@ -91,17 +100,36 @@ def test_kept_product_gives_the_recomputed_energies(replicas, shape, steps):
     uniforms = rng.random((replicas, steps * m * (nv + nh)))
     v, h, kept = rbm.gibbs_sweep_chains(stacked, visible, hidden, betas, steps, uniforms.copy())
     assert same_bits(kept, h @ stacked.weights + stacked.visible_bias)
-    got = rbm.stacked_energies(stacked, v, h, kept)
-    assert same_bits(got, rbm.stacked_energies(stacked, v, h))
+    got = rbm.energies(v, h, kept, stacked.hidden_bias.mT)
+    assert same_bits(got, kernel_energies(stacked, v, h))
     for r, params in enumerate(lone):
         assert same_bits(got[r], reference_energies(params, v[r], h[r]))
         lone_v, lone_h, lone_kept = rbm.gibbs_sweep_chains(
             params, visible[r], hidden[r], betas[r], steps, uniforms[r]
         )
         assert same_bits(lone_kept, lone_h @ params.weights + params.visible_bias)
-        lone_energies = rbm.energies(params, lone_v, lone_h, lone_kept)
-        assert same_bits(lone_energies, rbm.energies(params, lone_v, lone_h))
+        lone_energies = rbm.energies(lone_v, lone_h, lone_kept, params.hidden_bias[:, None])
+        assert same_bits(lone_energies, kernel_energies(params, lone_v, lone_h))
         assert same_bits(lone_energies, got[r])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 128), st.integers(1, 100), st.integers(1, 25),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_energy_kernel_for_lone_batches_and_stacks(replicas, m, nv, nh, seed):
+    # each replica of a stack, and the same states as a lone batch, must get
+    # the bits of the term-by-term oracle
+    rng = np.random.default_rng(seed)
+    lone, stacked = stack_params(rng, replicas, nv, nh)
+    visible, hidden = binary(rng, (replicas, m, nv)), binary(rng, (replicas, m, nh))
+    got = kernel_energies(stacked, visible, hidden)
+    assert got.shape == (replicas, m)
+    for r, params in enumerate(lone):
+        want = reference_energies(params, visible[r], hidden[r])
+        assert same_bits(got[r], want)
+        assert same_bits(kernel_energies(params, visible[r], hidden[r]), want)
 
 
 @pytest.mark.parametrize("replicas", [1, 2, 5])

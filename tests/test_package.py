@@ -9,9 +9,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import rbmpt
+from rbmpt import dataset, rbm, tempering, training
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    """The benchmark's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    return tracer_module
 
 
 def loaded_modules(statement: str) -> list[str]:
@@ -67,9 +78,7 @@ def test_scipy_loads_at_the_first_logistic():
 
 
 def test_tracer_finds_every_traced_function():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    tracer_module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_module)
+    tracer_module = load_tracer()
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -81,3 +90,48 @@ def test_tracer_finds_every_traced_function():
         tracer.uninstall()
     for mod_name, attr in patched:
         assert not hasattr(getattr(sys.modules[mod_name], attr), "__wrapped__")
+
+
+def sweep_and_train() -> list[bytes]:
+    """What a lone `deo_sweep` and a two-run `train_lockstep`, which sweeps
+    a stack, leave: the ensemble's arrays, and each run's metrics rows and
+    parameters."""
+    rng = np.random.default_rng(5)
+    params = rbm.RbmParams(rng.normal(size=(3, 4)), rng.normal(size=3), rng.normal(size=4))
+    ensemble = tempering.Ensemble.create(np.linspace(1.0, 0.0, 4), 4, 3, rng)
+    for _ in range(10):
+        tempering.deo_sweep(ensemble, params, 1, rng)
+    out = [getattr(ensemble, name).tobytes() for name in ("visible", "hidden", "labels")]
+    spec = dataset.MixtureSpec(
+        (rng.random((2, 9)) < 0.5).astype(float), np.array([0.5, 0.5]), np.array([0.05, 0.1])
+    )
+    sampler = dataset.BatchSampler(spec)
+    configs = [
+        training.TrainConfig(
+            algorithm="sml-pt", learning_rate=1e-2, num_updates=30, minibatch_size=4,
+            initial_num_chains=4, num_hidden=3, eval_interval=10, seed=seed,
+        )
+        for seed in (1, 2)
+    ]
+    for result in training.train_lockstep(configs, sampler):
+        out.append(repr([record.to_csv_row() for record in result.metrics]).encode())
+        out.append(result.params.flat.tobytes())
+    return out
+
+
+def test_traced_sweeps_keep_their_bits():
+    # the traced benchmark run wraps every traced name, so a stacked sweep's
+    # energies go through the wrapper too; whether or not a counting hook
+    # reads the arguments, the wrapped calls must run and return the bits
+    # they return untraced
+    want = sweep_and_train()
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        got = sweep_and_train()
+    finally:
+        tracer.uninstall()
+    # every sweep of four chains proposes a pair, so each calls `energies`
+    calls, _, _ = tracer.fold()
+    assert calls["tempering.deo_sweep"] == calls["rbm.energies"] == 10 + 30
+    assert got == want

@@ -22,6 +22,7 @@ from oracles import (
     brute_log_pv,
     brute_joint_distribution,
     enumerate_bits,
+    kernel_energies,
     packed_distinct_rows,
     random_params,
     reference_energies,
@@ -77,15 +78,15 @@ def hidden_probabilities_within(params, visible, beta, low, high) -> bool:
 class TestEnergy:
     def test_all_zero_params(self):
         p = rbm.RbmParams(np.zeros((2, 3)), np.zeros(2), np.zeros(3))
-        assert rbm.energies(p, *one_state([1.0, 0.0, 1.0], [1.0, 1.0])) == [0.0]
+        assert kernel_energies(p, *one_state([1.0, 0.0, 1.0], [1.0, 1.0])) == [0.0]
 
     def test_zero_state(self):
         p = random_params(np.random.default_rng(0), 3, 2)
-        assert rbm.energies(p, *one_state(np.zeros(3), np.zeros(2))) == [0.0]
+        assert kernel_energies(p, *one_state(np.zeros(3), np.zeros(2))) == [0.0]
 
     def test_hand_case(self):
         # -(1*1*1 + 0.5*1 + (-0.25)*1), checked against a term-by-term oracle
-        got = rbm.energies(tiny_params(), *one_state([1.0], [1.0]))
+        got = kernel_energies(tiny_params(), *one_state([1.0], [1.0]))
         assert got == pytest.approx([-1.25], abs=0)
 
     def test_linearity_in_params(self):
@@ -99,8 +100,8 @@ class TestEnergy:
         )
         for _ in range(20):
             s = one_state(rng.random(4) < 0.5, rng.random(3) < 0.5)
-            assert rbm.energies(both, *s) == pytest.approx(
-                rbm.energies(p1, *s) + rbm.energies(p2, *s), rel=1e-12
+            assert kernel_energies(both, *s) == pytest.approx(
+                kernel_energies(p1, *s) + kernel_energies(p2, *s), rel=1e-12
             )
 
     @pytest.mark.parametrize(
@@ -111,7 +112,7 @@ class TestEnergy:
         p = random_params(rng, nv, nh)
         visible = (rng.random((m, nv)) < 0.5).astype(float)
         hidden = (rng.random((m, nh)) < 0.5).astype(float)
-        batch = rbm.energies(p, visible, hidden)
+        batch = kernel_energies(p, visible, hidden)
         assert batch.shape == (m,)
         for i in range(m):
             assert batch[i] == pytest.approx(
@@ -229,10 +230,11 @@ class TestGibbs:
         assert np.array_equal(got[1], want[1])
         assert got[0].dtype == got[1].dtype == np.float64
         # the last visible pre-activation, unscaled and in its own buffer,
-        # from which the energies take the bits they would compute
+        # from which the energies take the reference bits
         assert same_bits(got[2], got[1] @ p.weights + p.visible_bias)
         assert not np.shares_memory(got[2], uniforms)
-        assert same_bits(rbm.energies(p, *got), rbm.energies(p, got[0], got[1]))
+        energies = rbm.energies(*got, p.hidden_bias[:, None])
+        assert same_bits(energies, reference_energies(p, got[0], got[1]))
         assert np.array_equal(visible, v_in) and np.array_equal(hidden, h_in)
         assert got_rng.random() == want_rng.random()
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from oracles import (
     enumerate_bits,
     random_params,
     reference_deo_sweep,
+    reference_energies,
     reference_energy,
     reference_gibbs_sweep,
     reference_update_flow_histograms,
@@ -154,16 +157,23 @@ class TestDeoSweep:
         assert ens.betas == pytest.approx(before, abs=0)
 
     def test_swap_phase_permutes_states(self):
-        # with no Gibbs steps the sweep can only permute particles
+        # the swap phase can only permute particles: after a one-step sweep
+        # the slots hold the states of the Gibbs step, replayed by the
+        # oracle from the same generator state, in some order
         ens = make_ensemble([1.0, 0.6, 0.3, 0.0], seed=6)
         params = random_params(np.random.default_rng(7), 3, 2, scale=2.0)
         rng = np.random.default_rng(8)
+        swapped = 0
         for _ in range(20):
+            v, h = reference_gibbs_sweep(
+                params, ens.visible, ens.hidden, ens.betas, 1, copy.deepcopy(rng)
+            )
+            gibbs = np.hstack([v, h])
+            tempering.deo_sweep(ens, params, 1, rng)
             joint = np.hstack([ens.visible, ens.hidden])
-            before = sorted(map(tuple, joint))
-            tempering.deo_sweep(ens, params, 0, rng)
-            joint = np.hstack([ens.visible, ens.hidden])
-            assert sorted(map(tuple, joint)) == before
+            assert sorted(map(tuple, joint)) == sorted(map(tuple, gibbs))
+            swapped += not np.array_equal(joint, gibbs)
+        assert swapped
 
     def test_one_uniform_draw_per_pair(self):
         # replay the sweep's exact rng stream: per Gibbs step one block per
@@ -176,7 +186,7 @@ class TestDeoSweep:
             visible1, hidden1 = reference_gibbs_sweep(
                 params, ens.visible, ens.hidden, ens.betas, steps, replay
             )
-            e = rbm.energies(params, visible1, hidden1)
+            e = reference_energies(params, visible1, hidden1)
             expect_prob = np.exp(
                 np.minimum((ens.betas[[0, 2]] - ens.betas[[1, 3]]) * (e[[0, 2]] - e[[1, 3]]), 0.0)
             )
@@ -242,7 +252,7 @@ class TestDeoSweep:
 @st.composite
 def sweep_cases(draw):
     """A model up to 5x5 with weights up to 3 in size, a strictly decreasing
-    ladder of 1 to 8 betas from 1 to 0, 0 to 2 Gibbs steps per sweep and
+    ladder of 1 to 8 betas from 1 to 0, 1 to 2 Gibbs steps per sweep and
     1 to 30 sweeps."""
     nv, nh = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     m = draw(st.integers(1, 8))
@@ -257,7 +267,7 @@ def sweep_cases(draw):
     betas = [1.0] if m == 1 else [1.0, *sorted(interior, reverse=True), 0.0]
     scale = draw(st.floats(0.0, 3.0))
     seed = draw(st.integers(0, 2**32 - 1))
-    return nv, nh, np.array(betas), scale, seed, draw(st.integers(0, 2)), draw(st.integers(1, 30))
+    return nv, nh, np.array(betas), scale, seed, draw(st.integers(1, 2)), draw(st.integers(1, 30))
 
 
 def sweep_state(ens):
@@ -316,6 +326,8 @@ class TestDeoSweepDraw:
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
     def test_negative_gibbs_steps_are_rejected(self, stacked):
+        # zero too: a sweep takes at least one Gibbs step, as `TrainConfig`
+        # requires, since the swap energies take its visible pre-activation
         params = random_params(np.random.default_rng(21), 3, 2)
         ens = make_ensemble([1.0, 0.5, 0.0])
         before = sweep_state(make_ensemble([1.0, 0.5, 0.0]))
@@ -323,22 +335,20 @@ class TestDeoSweepDraw:
         if stacked:
             sweep_params = rbm.RbmParams.view(params.flat[None], 2, 3)
             target, rng = tempering.EnsembleStack([ens]), [rng]
-        with pytest.raises(ValueError, match="gibbs_steps"):
-            tempering.deo_sweep(target, sweep_params, -3, rng)
+        for steps in (0, -3):
+            refusal = f"gibbs_steps must be 1 or more, got {steps}"
+            with pytest.raises(ValueError, match=refusal):
+                tempering.deo_sweep(target, sweep_params, steps, rng)
+            with pytest.raises(ValueError, match=refusal):
+                rbm.gibbs_sweep_chains(
+                    sweep_params, target.visible, target.hidden, target.betas, steps, np.zeros(0)
+                )
         # refused before any draw, Gibbs step, swap or bookkeeping
         for (name, a), (_, b) in zip(sweep_state(ens), before):
             assert same_bits(a, b), name
+        assert ens.sweep_parity == 0
         state = np.random.default_rng(22).random()
         assert (rng[0] if stacked else rng).random() == state
-        with pytest.raises(ValueError, match="gibbs_steps"):
-            rbm.gibbs_sweep_chains(params, ens.visible, ens.hidden, ens.betas, -1, np.zeros(0))
-        # zero steps stay valid: the particles come back as they went in
-        v, h, product = rbm.gibbs_sweep_chains(
-            params, ens.visible, ens.hidden, ens.betas, 0, np.zeros(0)
-        )
-        assert same_bits(v, ens.visible) and same_bits(h, ens.hidden) and product is None
-        tempering.deo_sweep(target, sweep_params, 0, rng)
-        assert ens.sweep_parity == 1
 
 
 class TestDeoSweepProperties:
@@ -351,12 +361,9 @@ class TestDeoSweepProperties:
         ens = make_ensemble(betas, nv=nv, nh=nh, seed=seed)
         m = len(betas)
         for _ in range(sweeps):
-            rows = sorted(map(tuple, np.hstack([ens.visible, ens.hidden])))
             parity = ens.sweep_parity
             tempering.deo_sweep(ens, params, steps, rng)
             assert same_bits(ens.betas, betas)
-            if steps == 0:
-                assert sorted(map(tuple, np.hstack([ens.visible, ens.hidden]))) == rows
             assert np.isin(ens.visible, (0.0, 1.0)).all()
             assert np.isin(ens.hidden, (0.0, 1.0)).all()
             assert ens.visible.shape == (m, nv) and ens.hidden.shape == (m, nh)

@@ -260,3 +260,11 @@ class TestConfigValidation:
         assert TrainConfig(algorithm="sml-apt", initial_num_chains=5, adaptation=budget)
         # a fixed ladder never spawns, so its budget is not read
         assert TrainConfig(algorithm="sml-pt", initial_num_chains=6, adaptation=budget)
+
+    def test_adaptive_ladder_starts_with_a_pair(self):
+        # one chain has no swap rate to fall below the floor and nothing to
+        # respace; two can spawn
+        with pytest.raises(ValueError, match=r"initial_num_chains \(1\) must be 2 or more"):
+            TrainConfig(algorithm="sml-apt", initial_num_chains=1)
+        assert TrainConfig(algorithm="sml-apt", initial_num_chains=2)
+        assert TrainConfig(algorithm="sml-pt", initial_num_chains=1)
