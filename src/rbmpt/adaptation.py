@@ -39,14 +39,17 @@ class AdaptationConfig:
     max_chains: int = 100
 
     def __post_init__(self):
-        # zero rates are the documented degenerate settings that reduce the
-        # adaptive sampler to a fixed ladder; above 1 the step overshoots
-        if not 0.0 <= self.beta_learning_rate <= 1.0:
-            raise ValueError("beta_learning_rate must lie in [0, 1]")
-        if not 0.0 <= self.min_avg_swap_rate < 1.0:
-            raise ValueError("min_avg_swap_rate must lie in [0, 1)")
+        # rates take ints or floats and counts ints, never bools; zero rates
+        # are the documented degenerate settings that reduce the adaptive
+        # sampler to a fixed ladder; above 1 the step overshoots
+        rate, floor = self.beta_learning_rate, self.min_avg_swap_rate
+        if type(rate) not in (int, float) or not 0.0 <= rate <= 1.0:
+            raise ValueError("beta_learning_rate must be a number in [0, 1]")
+        if type(floor) not in (int, float) or not 0.0 <= floor < 1.0:
+            raise ValueError("min_avg_swap_rate must be a number in [0, 1)")
         for name in ("spawn_check_interval", "burn_in_sweeps", "max_chains"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
 
 

@@ -48,11 +48,12 @@ class DatasetSettings:
     eval_size: int = 10_000
 
     def __post_init__(self):
-        if self.image_side < 1:
+        if type(self.image_side) is not int or self.image_side < 1:
             raise ValueError("image_side must be a positive integer")
         for name in ("data_seed", "eval_size"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer")
 
 
 @dataclass
@@ -84,8 +85,8 @@ class ExperimentPlan:
                 raise ValueError(f"a run needs at least one replicate seed ({run.label})")
             if len(set(run.seeds)) != len(run.seeds):
                 raise ValueError(f"replicate seeds must be distinct ({run.label})")
-            if any(seed < 0 for seed in run.seeds):
-                raise ValueError(f"replicate seeds must be nonnegative ({run.label})")
+            if any(type(seed) is not int or seed < 0 for seed in run.seeds):
+                raise ValueError(f"replicate seeds must be nonnegative integers ({run.label})")
 
 
 def _typed(value, want: type, where: str):
@@ -305,21 +306,9 @@ def _environment(settings: dict[str, str]):
                 os.environ[key] = value
 
 
-# (data settings, dataset, output directory) of a pool worker process
-_worker_context: tuple = ()
-
-
-def _init_worker(data: DatasetSettings, out_dir: Path, log_level: int) -> None:
-    """Set up a spawned pool worker: it logs at the calling process's root
-    level, in `LOG_FORMAT`, and builds its own copy of the dataset."""
-    global _worker_context
+def _init_worker(log_level: int) -> None:
+    """Set up a spawned pool worker to log at the caller's root level, in `LOG_FORMAT`."""
     logging.basicConfig(level=log_level, format=LOG_FORMAT)
-    _worker_context = (data, build_dataset(data), out_dir)
-
-
-def _worker(group: list[PlannedRun]) -> list[tuple[list[dict], str]]:
-    data, dataset, out_dir = _worker_context
-    return execute_run(group, data, dataset, out_dir)
 
 
 def _finite(values: list[float]) -> list[float]:
@@ -385,10 +374,11 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
 
     The planned runs whose configs share a `training.lockstep_key` form one
     `execute_run` task, which trains all their seeds in one lockstep group
-    and writes their artifacts and each label's summary. With jobs > 1 the
-    tasks go to a pool of that many spawned worker processes, each with one
-    BLAS thread; a script that calls this must guard its entry point with
-    `if __name__ == "__main__":`.
+    and writes their artifacts and each label's summary. The dataset is
+    built once, here, and every task trains on it. With jobs > 1 the tasks
+    go to a pool of that many spawned worker processes, each with one BLAS
+    thread, and each task carries a copy of the dataset; a script that calls
+    this must guard its entry point with `if __name__ == "__main__":`.
 
     A group that raises loses the seeds of each of its labels: their
     manifest entries record the error, every other group finishes and its
@@ -398,8 +388,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     groups = _lockstep_groups(plan.runs)
-
-    # every run shares one dataset: built once here, or once per worker process
+    dataset = build_dataset(plan.data)
     outcomes: list[list[tuple[list[dict], str]] | Exception] = []
     if jobs > 1 and len(groups) > 1:
         # imported here, so a sequential run never loads the pool
@@ -412,16 +401,15 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
             max_workers=jobs,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_init_worker,
-            initargs=(plan.data, out_dir, logging.getLogger().level),
+            initargs=(logging.getLogger().level,),
         ) as pool:
-            futures = [pool.submit(_worker, group) for group in groups]
+            futures = [pool.submit(execute_run, g, plan.data, dataset, out_dir) for g in groups]
             for future in futures:
                 try:
                     outcomes.append(future.result())
                 except Exception as exc:
                     outcomes.append(exc)
     else:
-        dataset = build_dataset(plan.data)
         for group in groups:
             try:
                 outcomes.append(execute_run(group, plan.data, dataset, out_dir))

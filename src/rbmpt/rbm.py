@@ -376,7 +376,7 @@ class DistinctRows:
     uint8, in order of first occurrence; how often each occurs, (r,)
     float64 whole numbers summing to `size`; and their count-weighted sum
     over rows, (nv,) float64, which is exact because it adds whole numbers.
-    Build it with `distinct_rows`; its arrays are read-only.
+    Build it with `distinct_rows`; its arrays are read-only, pickled or not.
     `exact_log_likelihood` unpacks the rows one block at a time.
     """
 
@@ -385,6 +385,14 @@ class DistinctRows:
     visible_sum: np.ndarray
     size: int
     num_visible: int
+
+    def __post_init__(self):
+        for array in (self.rows, self.counts, self.visible_sum):
+            array.setflags(write=False)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which freezes the copied arrays
+        return DistinctRows, tuple(vars(self).values())
 
 
 def distinct_rows(packed: np.ndarray, num_visible: int) -> DistinctRows:
@@ -419,8 +427,6 @@ def distinct_rows(packed: np.ndarray, num_visible: int) -> DistinctRows:
     for start in range(0, rows.shape[0], step):
         block = np.unpackbits(rows[start : start + step], axis=1, count=num_visible)
         visible_sum += np.einsum("r,rv->v", counts[start : start + step], block)
-    for array in (rows, counts, visible_sum):
-        array.setflags(write=False)
     return DistinctRows(rows, counts, visible_sum, data.shape[0], num_visible)
 
 

@@ -77,9 +77,11 @@ class TrainConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.initial_ladder not in LADDERS:
             raise ValueError(f"initial_ladder must be one of {LADDERS}")
-        # zero is allowed: a pure sampling run with constant parameters
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and nonnegative")
+        # as in a plan file, an int setting takes an int and a float one an
+        # int or a float, never a bool; a zero rate is a pure sampling run
+        rate = self.learning_rate
+        if type(rate) not in (int, float) or not 0.0 <= rate < math.inf:
+            raise ValueError("learning_rate must be a finite nonnegative number")
         for name in (
             "num_updates",
             "minibatch_size",
@@ -88,11 +90,13 @@ class TrainConfig:
             "num_hidden",
             "eval_interval",
         ):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
         for name in ("post_sampling_steps", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer")
         # one chain has no swap pair to respace or spawn from, and a ladder
         # that starts above its budget could never spawn
         chains, max_chains = self.initial_num_chains, self.adaptation.max_chains
@@ -268,12 +272,13 @@ def lockstep_key(config: TrainConfig) -> tuple[tuple[str, object], ...]:
 
 
 class _Lockstep:
-    """Runs of one lockstep key, at one ladder length, advanced together:
-    their parameters are the rows of one (R, P) stack and their ensembles
-    one `EnsembleStack`, so each kernel runs once per update for all R.
-    A lone run needs no stack: the same kernels take its own arrays. (Always
-    stacking, with members that own their arrays and are re-stacked every
-    sweep, gave the same bits but cost `grid-ci` about 8% per update.)"""
+    """Live runs of one ladder length, advanced together until one spawns a
+    chain or diverges: their parameters are the rows of one (R, P) stack and
+    their ensembles one `EnsembleStack`, so each kernel runs once per update
+    for all R. A lone run needs no stack: the same kernels take its own
+    arrays. (Always stacking, with members that own their arrays and are
+    re-stacked every sweep, gave the same bits but cost `grid-ci` about 8%
+    per update.)"""
 
     def __init__(self, runs: list[TrainResult]):
         self.runs = runs
@@ -286,7 +291,16 @@ class _Lockstep:
         ]
         self.total_steps = config.num_updates + config.post_sampling_steps
         nh, nv = runs[0].params.weights.shape
-        self.weight_size = nv * nh
+        m = runs[0].ensemble.num_chains
+        self.tempered = m > 1
+        # modeled cost of a sampling update (the sweep and the swap-phase
+        # energies) and of a learning update (plus the gradient step): whole
+        # numbers below 2^53, so the float sums are exact. The energies take
+        # the kept pre-activation but are charged one weight-sized product
+        # per chain, so `wall_clock_seconds` keeps its bytes.
+        sweep = config.gibbs_steps_per_update * m * 2 * nv * nh
+        self.sampling_work = sweep + m * nv * nh if self.tempered else sweep
+        self.learning_work = self.sampling_work + 3 * config.minibatch_size * nv * nh
         if len(runs) == 1:
             run = runs[0]
             self.params, self.ensembles, self.rngs = run.params, run.ensemble, run.rng
@@ -298,29 +312,18 @@ class _Lockstep:
         self.ensembles = EnsembleStack([run.ensemble for run in runs])
         self.rngs = [run.rng for run in runs]
 
-    def step(self, update: int, sampler, eval_data) -> list[TrainResult]:
-        """Update `update` of every run, in a lone run's order; returns the
-        runs that leave the stack: those that diverged or spawned a chain."""
+    def step(self, update: int, sampler, eval_data) -> bool:
+        """Update `update` of every run, in a lone run's order; True when a
+        run spawned a chain or diverged, which ends the group."""
         runs, config = self.runs, self.config
         learning = update <= config.num_updates
-        gibbs_steps = config.gibbs_steps_per_update
         if learning:
             batch = sampler(self.rngs, config.minibatch_size)
-        deo_sweep(self.ensembles, self.params, gibbs_steps, self.rngs)
-        m = self.ensembles.num_chains
-        # modeled cost: the sweep, the swap-phase energies and the gradient
-        # step; whole numbers below 2^53, so the float sums are exact. The
-        # energies take the sweep's last visible pre-activation, but their
-        # charge stays one weight-sized product per chain, so
-        # `wall_clock_seconds` keeps its bytes.
-        work = gibbs_steps * m * 2 * self.weight_size
-        if m > 1:
-            work += m * self.weight_size
-        if learning:
-            work += 3 * config.minibatch_size * self.weight_size
-        if m > 1:
+        deo_sweep(self.ensembles, self.params, config.gibbs_steps_per_update, self.rngs)
+        if self.tempered:
             update_flow_histograms(self.ensembles)
-        leaving = []
+        work = self.learning_work if learning else self.sampling_work
+        ended = False
         for run, adaptation in zip(runs, self.adaptations):
             run.work_units += work
             ensemble = run.ensemble
@@ -330,26 +333,35 @@ class _Lockstep:
                     event = maybe_spawn(ensemble, adaptation, update_index=update)
                     if event is not None:
                         run.spawn_events.append(event)
-                        leaving.append(run)
+                        ended = True
         live = runs
         if learning:
             try:
                 # a spawn inserts at slot 1 or later: slot 0 is still the stack's
                 sml_update(self.params, batch, self.ensembles, config)
             except DivergenceError as err:
+                ended = True
                 live = []
                 for run, bad in zip(runs, err.diverged.reshape(-1)):
                     if bad:
                         run.diverged_at = update
                         run.emit(update, eval_data)
-                        if run not in leaving:
-                            leaving.append(run)
                     else:
                         live.append(run)
         if update % config.eval_interval == 0 or update == self.total_steps:
             for run in live:
                 run.emit(update, eval_data)
-        return leaving
+        return ended
+
+
+def _groups(runs: list[TrainResult]) -> list[_Lockstep]:
+    """The runs that have not diverged, one `_Lockstep` per ladder length:
+    each in the order of `runs`, the groups in the order of their first run."""
+    by_length: dict[int, list[TrainResult]] = {}
+    for run in runs:
+        if run.diverged_at is None:
+            by_length.setdefault(run.ensemble.num_chains, []).append(run)
+    return [_Lockstep(group) for group in by_length.values()]
 
 
 def train_lockstep(
@@ -366,11 +378,11 @@ def train_lockstep(
     the gradient step once over a stacked replica axis, while every run
     keeps its own generator, swap decisions, ladder bookkeeping and, for
     `sml-apt`, its own respacing and spawn checks, so each result has the
-    bits `train` gives its config alone. A run that diverges stops; one
-    whose ladder grows by a spawn leaves the stack and goes on alone.
-    `sampler` must also take a list of R generators and return an (R, n,
-    num_visible) stack, as `dataset.BatchSampler` does. Returns the runs it
-    stepped, in the order of `configs`.
+    bits `train` gives its config alone. A run that diverges stops; after
+    any spawn or divergence the live runs re-form one group per ladder
+    length. `sampler` must also take a list of R generators and return an
+    (R, n, num_visible) stack, as `dataset.BatchSampler` does. Returns the
+    runs it stepped, in the order of `configs`.
     """
     if not configs:
         raise ValueError("train_lockstep needs at least one config")
@@ -384,24 +396,14 @@ def train_lockstep(
     runs = [TrainResult.start(config, num_visible) for config in configs]
     for run in runs:
         run.emit(0, eval_data)
-    groups = [_Lockstep(runs)]
+    groups = _groups(runs)
     for update in range(1, shared.num_updates + shared.post_sampling_steps + 1):
-        leaving = [group.step(update, sampler, eval_data) for group in groups]
-        if any(leaving):
-            groups = [new for group, gone in zip(groups, leaving) for new in _regroup(group, gone)]
+        ended = [group.step(update, sampler, eval_data) for group in groups]
+        if any(ended):
+            groups = _groups(runs)
             if not groups:
                 break
     return runs
-
-
-def _regroup(group: _Lockstep, leaving: list[TrainResult]) -> list[_Lockstep]:
-    """The groups that carry on `group`'s runs once `leaving` have left it:
-    a grown ladder goes on alone, a diverged run is done."""
-    if not leaving:
-        return [group]
-    staying = [run for run in group.runs if run not in leaving]
-    regrouped = [_Lockstep(staying)] if staying else []
-    return regrouped + [_Lockstep([run]) for run in leaving if run.diverged_at is None]
 
 
 def train(

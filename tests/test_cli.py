@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -384,18 +385,32 @@ class TestSharedDataset:
         for array in (eval_rows.rows, eval_rows.counts, eval_rows.visible_sum):
             assert not array.flags.writeable
 
+    def test_eval_snapshot_stays_read_only_through_pickle(self):
+        # each `--jobs N` task carries a pickled copy of the snapshot
+        data = experiment.DatasetSettings(image_side=3, eval_size=10)
+        _, eval_rows = experiment.build_dataset(data)
+        copy = pickle.loads(pickle.dumps(eval_rows))
+        assert (copy.size, copy.num_visible) == (eval_rows.size, eval_rows.num_visible)
+        for name in ("rows", "counts", "visible_sum"):
+            array = getattr(copy, name)
+            assert array.tobytes() == getattr(eval_rows, name).tobytes()
+            assert not array.flags.writeable
 
-def record_worker_env(data, out_dir, log_level):
-    """Pool initializer: note the BLAS settings the worker started with,
-    then set it up as `run_experiment`'s own initializer does."""
+
+def record_worker_env(log_level):
+    """Pool initializer: note the BLAS settings the worker started with, in
+    its working directory, then set it up as `run_experiment`'s own
+    initializer does."""
     settings = {key: os.environ.get(key) for key in experiment._WORKER_BLAS_ENV}
-    (out_dir / f"env-{os.getpid()}.json").write_text(json.dumps(settings))
-    experiment._init_worker(data, out_dir, log_level)
+    with open(f"env-{os.getpid()}.json", "w") as fh:
+        json.dump(settings, fh)
+    experiment._init_worker(log_level)
 
 
 class TestParallelJobs:
     def test_workers_start_with_one_blas_thread(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiment, "_init_worker", record_worker_env)
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
         assert experiment.run_experiment(tiny_comparison_plan(tmp_path), jobs=2) == 0
         seen = [json.loads(path.read_text()) for path in tmp_path.glob("env-*.json")]
@@ -633,6 +648,11 @@ BAD_SETTINGS = {
 }
 
 
+def planned_seed(seeds):
+    """A one-run plan whose one replicate seed is `seeds`."""
+    return experiment.ExperimentPlan(runs=[experiment.PlannedRun("run", TrainConfig(), [seeds])])
+
+
 class TestSettings:
     @pytest.mark.parametrize("case", list(BAD_SETTINGS), ids=list(BAD_SETTINGS))
     def test_bad_setting_exits_before_any_run(self, tmp_path, case):
@@ -781,6 +801,28 @@ class TestSettings:
     def test_dataset_settings_validate(self, kwargs):
         with pytest.raises(ValueError):
             experiment.DatasetSettings(**kwargs)
+
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (TrainConfig, "num_updates", 4.5),
+            (TrainConfig, "seed", 1.5),
+            (TrainConfig, "num_hidden", True),
+            (TrainConfig, "learning_rate", True),
+            (TrainConfig, "learning_rate", "0.1"),
+            (AdaptationConfig, "spawn_check_interval", 2.5),
+            (AdaptationConfig, "beta_learning_rate", True),
+            (experiment.DatasetSettings, "image_side", 8.0),
+            (experiment.DatasetSettings, "eval_size", True),
+            (planned_seed, "seeds", 1.5),
+        ],
+        ids=lambda x: x.__name__ if callable(x) else repr(x),
+    )
+    def test_settings_objects_check_their_types(self, make, field, value):
+        # the plan file's rule: an int setting takes an int, a float setting
+        # an int or a float, and neither a bool
+        with pytest.raises(ValueError, match=field):
+            make(**{field: value})
 
     def test_seeds_must_be_nonnegative(self):
         with pytest.raises(ValueError):

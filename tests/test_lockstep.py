@@ -246,6 +246,38 @@ def test_lockstep_returns_each_run_with_its_own_cost(case):
     assert len({run.work_units for run in runs}) > 1
 
 
+def test_seeds_of_one_ladder_length_stack_again(monkeypatch):
+    # a high swap floor, frequent checks and a budget of 4 chains: every
+    # seed grows from 2 to 4 chains, at different updates, and the seeds
+    # that share a length must train as one stack again
+    config = toy_config(
+        algorithm="sml-apt", learning_rate=0.2, initial_num_chains=2, num_updates=100,
+        adaptation=AdaptationConfig(
+            beta_learning_rate=1e-2, min_avg_swap_rate=0.99, spawn_check_interval=5,
+            burn_in_sweeps=5, max_chains=4,
+        ),
+    )
+    formed, lockstep = [], training._Lockstep
+
+    def recording(runs):
+        formed.append((len(runs), runs[0].ensemble.num_chains))
+        return lockstep(runs)
+
+    monkeypatch.setattr(training, "_Lockstep", recording)
+    sampler = toy_sampler()
+    eval_data = packed_distinct_rows(sampler(np.random.default_rng(76), 32))
+    configs = [dataclasses.replace(config, seed=seed) for seed in LOCKSTEP_SEEDS]
+    together = training.train_lockstep(configs, sampler, eval_data=eval_data)
+    assert any(size >= 2 and length > 2 for size, length in formed)
+    assert {len(run.spawn_events) for run in together} == {2}
+    for config, got in zip(configs, together):
+        alone = training.train(config, sampler, eval_data=eval_data)
+        assert [row.to_csv_row() for row in got.metrics] == [
+            row.to_csv_row() for row in alone.metrics
+        ]
+        assert same_bits(got.params.flat, alone.params.flat)
+
+
 def test_lockstep_rejects_configs_that_differ_beyond_the_seed():
     configs = [toy_config(seed=1), toy_config(seed=2, learning_rate=0.5)]
     with pytest.raises(ValueError):
