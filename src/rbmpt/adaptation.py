@@ -39,18 +39,19 @@ class AdaptationConfig:
     max_chains: int = 100
 
     def __post_init__(self):
-        # rates take ints or floats and counts ints, never bools; zero rates
-        # are the documented degenerate settings that reduce the adaptive
-        # sampler to a fixed ladder; above 1 the step overshoots
+        # rates take ints or floats, kept as floats, and counts ints, never
+        # bools; zero rates are the documented degenerate settings that reduce
+        # the adaptive sampler to a fixed ladder; above 1 the step overshoots
         rate, floor = self.beta_learning_rate, self.min_avg_swap_rate
         if type(rate) not in (int, float) or not 0.0 <= rate <= 1.0:
-            raise ValueError("beta_learning_rate must be a number in [0, 1]")
+            raise ValueError(f"beta_learning_rate: expected a number in [0, 1], got {rate!r}")
         if type(floor) not in (int, float) or not 0.0 <= floor < 1.0:
-            raise ValueError("min_avg_swap_rate must be a number in [0, 1)")
+            raise ValueError(f"min_avg_swap_rate: expected a number in [0, 1), got {floor!r}")
+        self.beta_learning_rate, self.min_avg_swap_rate = float(rate), float(floor)
         for name in ("spawn_check_interval", "burn_in_sweeps", "max_chains"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be a positive integer")
+                raise ValueError(f"{name}: expected an int >= 1, got {value!r}")
 
 
 @dataclass

@@ -48,12 +48,10 @@ class DatasetSettings:
     eval_size: int = 10_000
 
     def __post_init__(self):
-        if type(self.image_side) is not int or self.image_side < 1:
-            raise ValueError("image_side must be a positive integer")
-        for name in ("data_seed", "eval_size"):
+        for name, low in (("image_side", 1), ("data_seed", 0), ("eval_size", 0)):
             value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer")
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name}: expected an int >= {low}, got {value!r}")
 
 
 @dataclass
@@ -67,91 +65,87 @@ class PlannedRun:
 
 @dataclass
 class ExperimentPlan:
+    """Planned runs on one dataset; checks the runs list, each run's label
+    (its artifacts' file-name stem) and seeds, and the output directory."""
+
     runs: list[PlannedRun]
     data: DatasetSettings = field(default_factory=DatasetSettings)
     output_dir: str = "."
 
     def __post_init__(self):
-        if not self.runs:
-            raise ValueError("a plan needs at least one run")
-        labels = [run.label for run in self.runs]
+        runs = self.runs
+        if type(runs) is not list or not runs or not all(isinstance(r, PlannedRun) for r in runs):
+            raise ValueError(f"runs: expected a non-empty list of PlannedRun, got {runs!r}")
+        for run in runs:
+            label, seeds = run.label, run.seeds
+            if type(label) is not str or not label or any(c in label for c in ("/", os.sep, "\0")):
+                raise ValueError(f"label: expected a non-empty file name, got {label!r}")
+            ints = type(seeds) is list and all(type(s) is int and s >= 0 for s in seeds)
+            if not (ints and seeds and len(set(seeds)) == len(seeds)):
+                raise ValueError(
+                    f"seeds: expected a non-empty list of distinct ints >= 0, "
+                    f"got {seeds!r} (run {label!r})"
+                )
+        labels = [run.label for run in runs]
         if len(set(labels)) != len(labels):
             raise ValueError("run labels must be unique")
-        for run in self.runs:
-            # a label starts every artifact's file name
-            if not run.label or any(c in run.label for c in ("/", os.sep, "\0")):
-                raise ValueError(f"run label {run.label!r} must be a non-empty file name")
-            if not run.seeds:
-                raise ValueError(f"a run needs at least one replicate seed ({run.label})")
-            if len(set(run.seeds)) != len(run.seeds):
-                raise ValueError(f"replicate seeds must be distinct ({run.label})")
-            if any(type(seed) is not int or seed < 0 for seed in run.seeds):
-                raise ValueError(f"replicate seeds must be nonnegative integers ({run.label})")
+        if type(self.output_dir) is not str:
+            raise ValueError(f"output_dir: expected a str, got {self.output_dir!r}")
 
 
-def _typed(value, want: type, where: str):
-    """`value` if its type is exactly `want`, so no bool passes for an int
-    and no float for an int; an int passes, as a float, where a float is
-    wanted. A ValueError naming `where` otherwise."""
-    if want is float and type(value) is int:
-        return float(value)
-    if type(value) is not want:
-        raise ValueError(f"{where}: expected {want.__name__}, got {value!r}")
-    return value
-
-
-def _known(record: dict, keys, where: str) -> dict:
+def _known(record, keys, where: str) -> dict:
     """`record`, once it is a dict whose every key is one of `keys`."""
-    _typed(record, dict, where)
+    if type(record) is not dict:
+        raise ValueError(f"{where}: expected a dict, got {record!r}")
     unknown = sorted(set(record) - set(keys))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
     return record
 
 
-def _fields(record: dict, cls, where: str) -> dict:
-    """`record` as keyword arguments of the dataclass `cls`, once every key
-    names a field and every value has its field's type; a field that is
-    itself a dataclass is read from a nested record the same way."""
+def _read(record, cls, where: str):
+    """The dataclass `cls` built from `record`, once every key names a field
+    and every field without a default has a key; a field that is itself a
+    dataclass is read from a nested record the same way. The values pass as
+    they are, for `cls` to check."""
+    fields = dataclasses.fields(cls)
+    _known(record, [f.name for f in fields], where)
+    unset = dataclasses.MISSING
+    required = [f.name for f in fields if f.default is unset and f.default_factory is unset]
+    missing = [repr(name) for name in required if name not in record]
+    if missing:
+        raise ValueError(f"{where}: expected key(s) {', '.join(missing)}")
     types = typing.get_type_hints(cls)
-    fields = {}
-    for key, value in _known(record, [f.name for f in dataclasses.fields(cls)], where).items():
-        want = types[key]
-        if dataclasses.is_dataclass(want):
-            fields[key] = want(**_fields(value, want, key))
-        else:
-            fields[key] = _typed(value, want, f"{where} key {key!r}")
-    return fields
+    return cls(**{
+        key: _read(value, types[key], key) if dataclasses.is_dataclass(types[key]) else value
+        for key, value in record.items()
+    })
 
 
 def config_from_dict(record: dict) -> TrainConfig:
-    return TrainConfig(**_fields(record, TrainConfig, "config"))
+    """The `TrainConfig` a config record describes; the record's shape is
+    checked here, its values by `TrainConfig` and `AdaptationConfig`."""
+    return _read(record, TrainConfig, "config")
 
 
 def plan_from_dict(record: dict, output_dir: str = ".") -> ExperimentPlan:
     """The plan `record` describes; `output_dir` stands in for a missing
-    'output_dir' key."""
+    'output_dir' key. Only the record's shape is checked here: dicts, key
+    names, required keys, a 'runs' list, and no config 'seed' in a run;
+    the settings objects and `ExperimentPlan` check every value."""
     _known(record, ("dataset", "output_dir", "runs"), "plan")
-    data = DatasetSettings(**_fields(record.get("dataset", {}), DatasetSettings, "dataset"))
+    data = _read(record.get("dataset", {}), DatasetSettings, "dataset")
+    entries = record.get("runs", [])
+    if type(entries) is not list:
+        raise ValueError(f"runs: expected a list, got {entries!r}")
     runs = []
-    for entry in _typed(record.get("runs", []), list, "plan key 'runs'"):
-        _known(entry, [f.name for f in dataclasses.fields(PlannedRun)], "plan run")
-        # a missing key reads as None, which no type check passes
-        label = _typed(entry.get("label"), str, "run key 'label'")
-        seeds = _typed(entry.get("seeds"), list, f"seeds of {label!r}")
-        config = config_from_dict(entry.get("config"))
+    for entry in entries:
+        run = _read(entry, PlannedRun, "plan run")
         # each replicate seed replaces the config's, which would be ignored
         if "seed" in entry["config"]:
-            raise ValueError(f"run {label!r}: a config 'seed' is ignored; list it in 'seeds'")
-        runs.append(
-            PlannedRun(
-                label=label,
-                config=config,
-                seeds=[_typed(seed, int, f"seeds of {label!r}") for seed in seeds],
-            )
-        )
-    output_dir = _typed(record.get("output_dir", output_dir), str, "plan key 'output_dir'")
-    return ExperimentPlan(runs=runs, data=data, output_dir=output_dir)
+            raise ValueError(f"run {run.label!r}: a config 'seed' is ignored; list it in 'seeds'")
+        runs.append(run)
+    return ExperimentPlan(runs, data, record.get("output_dir", output_dir))
 
 
 def load_plan(path, output_dir: str = ".") -> ExperimentPlan:
@@ -553,26 +547,14 @@ def comparison_plan(
             **shape,
         )
 
+    lrs, beta_lrs = ((1e-3, 1e-4), (1e-3, 1e-4, 1e-5)) if grid else ((1e-3,), (1e-4,))
     runs = []
-    if not grid:
-        runs.append(PlannedRun("sml", cfg("sml", 1, 1e-3), seeds))
+    for lr in lrs:
+        tag = f"--lr{lr:.0e}" if grid else ""
+        runs.append(PlannedRun(f"sml{tag}", cfg("sml", 1, lr), seeds))
         for m in (10, 20, 50):
-            runs.append(PlannedRun(f"sml-pt-{m}", cfg("sml-pt", m, 1e-3), seeds))
-        runs.append(PlannedRun("sml-apt", cfg("sml-apt", 10, 1e-3, 1e-4), seeds))
-    else:
-        for lr in (1e-3, 1e-4):
-            tag = f"lr{lr:.0e}"
-            runs.append(PlannedRun(f"sml--{tag}", cfg("sml", 1, lr), seeds))
-            for m in (10, 20, 50):
-                runs.append(
-                    PlannedRun(f"sml-pt-{m}--{tag}", cfg("sml-pt", m, lr), seeds)
-                )
-            for beta_lr in (1e-3, 1e-4, 1e-5):
-                runs.append(
-                    PlannedRun(
-                        f"sml-apt--{tag}--blr{beta_lr:.0e}",
-                        cfg("sml-apt", 10, lr, beta_lr),
-                        seeds,
-                    )
-                )
+            runs.append(PlannedRun(f"sml-pt-{m}{tag}", cfg("sml-pt", m, lr), seeds))
+        for beta_lr in beta_lrs:
+            cell = f"{tag}--blr{beta_lr:.0e}" if grid else ""
+            runs.append(PlannedRun(f"sml-apt{cell}", cfg("sml-apt", 10, lr, beta_lr), seeds))
     return ExperimentPlan(runs=runs, data=data, output_dir=str(output_dir))

@@ -73,30 +73,27 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.initial_ladder not in LADDERS:
-            raise ValueError(f"initial_ladder must be one of {LADDERS}")
-        # as in a plan file, an int setting takes an int and a float one an
-        # int or a float, never a bool; a zero rate is a pure sampling run
+        for name, choices in (("algorithm", ALGORITHMS), ("initial_ladder", LADDERS)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"{name}: expected one of {choices}, got {value!r}")
+        # checked before its chain budget is read
+        if not isinstance(self.adaptation, AdaptationConfig):
+            raise ValueError(f"adaptation: expected an AdaptationConfig, got {self.adaptation!r}")
+        # an int setting takes an int and a float one an int or a float,
+        # stored as a float, never a bool; a zero rate is a pure sampling run
         rate = self.learning_rate
         if type(rate) not in (int, float) or not 0.0 <= rate < math.inf:
-            raise ValueError("learning_rate must be a finite nonnegative number")
-        for name in (
-            "num_updates",
-            "minibatch_size",
-            "gibbs_steps_per_update",
-            "initial_num_chains",
-            "num_hidden",
-            "eval_interval",
+            raise ValueError(f"learning_rate: expected a finite number >= 0, got {rate!r}")
+        self.learning_rate = float(rate)
+        for name, low in (
+            ("num_updates", 1), ("minibatch_size", 1), ("gibbs_steps_per_update", 1),
+            ("initial_num_chains", 1), ("num_hidden", 1), ("eval_interval", 1),
+            ("post_sampling_steps", 0), ("seed", 0),
         ):
             value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        for name in ("post_sampling_steps", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer")
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name}: expected an int >= {low}, got {value!r}")
         # one chain has no swap pair to respace or spawn from, and a ladder
         # that starts above its budget could never spawn
         chains, max_chains = self.initial_num_chains, self.adaptation.max_chains

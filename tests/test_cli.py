@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import typing
 
 import pytest
 
@@ -653,6 +654,11 @@ def planned_seed(seeds):
     return experiment.ExperimentPlan(runs=[experiment.PlannedRun("run", TrainConfig(), [seeds])])
 
 
+def single_chain_config(**kwargs):
+    """A `TrainConfig` of the single-chain sampler with `kwargs` set."""
+    return TrainConfig(algorithm="sml", **kwargs)
+
+
 class TestSettings:
     @pytest.mark.parametrize("case", list(BAD_SETTINGS), ids=list(BAD_SETTINGS))
     def test_bad_setting_exits_before_any_run(self, tmp_path, case):
@@ -750,6 +756,9 @@ class TestSettings:
         for flag, setting in cli.SETTINGS.items():
             fields = {f.name for f in dataclasses.fields(targets[setting.target])}
             assert setting.field in fields, flag
+            # the flag's converter is the type its field's settings object checks
+            types = typing.get_type_hints(targets[setting.target])
+            assert types[setting.field] is setting.type, flag
 
     def test_plan_records_reject_unknown_keys(self):
         with pytest.raises(ValueError, match="learning_rat"):
@@ -771,6 +780,11 @@ class TestSettings:
         )
         assert type(config.learning_rate) is float and config.learning_rate == 1.0
         assert type(config.adaptation.beta_learning_rate) is float
+        # the settings objects convert it, whoever builds them
+        assert type(TrainConfig(learning_rate=1).learning_rate) is float
+        adaptation = AdaptationConfig(beta_learning_rate=0, min_avg_swap_rate=0)
+        assert type(adaptation.beta_learning_rate) is float
+        assert type(adaptation.min_avg_swap_rate) is float
         for config in (
             {"num_updates": 4.5},
             {"num_hidden": True},
@@ -794,6 +808,12 @@ class TestSettings:
         ):
             with pytest.raises(ValueError, match="expected"):
                 experiment.plan_from_dict(record)
+        # a run without one of its keys is refused with the key's name
+        for key in ("label", "seeds", "config"):
+            run = {"label": "a", "seeds": [0], "config": {}}
+            del run[key]
+            with pytest.raises(ValueError, match=f"plan run: expected key.*'{key}'"):
+                experiment.plan_from_dict({"runs": [run]})
 
     @pytest.mark.parametrize(
         "kwargs", [{"image_side": 0}, {"eval_size": -1}, {"data_seed": -1}], ids=str
@@ -815,6 +835,8 @@ class TestSettings:
             (experiment.DatasetSettings, "image_side", 8.0),
             (experiment.DatasetSettings, "eval_size", True),
             (planned_seed, "seeds", 1.5),
+            (TrainConfig, "adaptation", {"max_chains": 5}),
+            (single_chain_config, "adaptation", None),
         ],
         ids=lambda x: x.__name__ if callable(x) else repr(x),
     )
