@@ -24,7 +24,14 @@ import numpy as np
 from . import dataset as ds
 from . import rbm
 from .adaptation import AdaptationConfig
-from .training import TrainConfig, TrainResult, lockstep_key, train_lockstep, write_metrics_csv
+from .training import (
+    ALGO_SML,
+    TrainConfig,
+    TrainResult,
+    lockstep_key,
+    train_lockstep,
+    write_metrics_csv,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -192,18 +199,9 @@ def _write_json(path: Path, record: dict) -> None:
         json.dump(record, fh, indent=2)
 
 
-def execute_run(
-    group: list[PlannedRun], data: DatasetSettings, dataset, out_dir
-) -> list[tuple[list[dict], str]]:
-    """Train the replicate seeds of `group`, planned runs that share one
-    `training.lockstep_key`, in one `train_lockstep` call on `dataset`, the
-    `build_dataset(data)` pair. Then write each seed's artifacts and each
-    label's summary, computed from the sidecar records in memory; returns
-    each label's manifest entries and summary file name, in `group`'s
-    order. Every seed's `measured_seconds` is the group's wall time divided
-    by all its seeds, whatever their label, and its sidecar's `group_size`
-    is that number of seeds."""
-    out_dir = Path(out_dir)
+def _train(group: list[PlannedRun], dataset) -> list[tuple[list[TrainResult], int]]:
+    """Train the replicate seeds of `group` in one `train_lockstep` call;
+    each planned run's results, one per seed, with the call's seed count."""
     spec, eval_data = dataset
     configs = [
         dataclasses.replace(planned.config, seed=seed)
@@ -215,22 +213,54 @@ def execute_run(
     elapsed = time.perf_counter() - started
     labels = ", ".join(planned.label for planned in group)
     logger.info("%s: %d seeds finished in %.1fs", labels, len(configs), elapsed)
-    timing = {"measured_seconds": elapsed / len(configs), "group_size": len(configs)}
+    return [([next(results) for _ in planned.seeds], len(configs)) for planned in group]
+
+
+def execute_run(
+    group: list[PlannedRun], data: DatasetSettings, dataset, out_dir
+) -> list[tuple[list[dict], str] | Exception]:
+    """Train the replicate seeds of `group`, planned runs that share one
+    `training.lockstep_key`, in one `train_lockstep` call on `dataset`, the
+    `build_dataset(data)` pair. Then write each seed's artifacts and each
+    label's summary, computed from the sidecar records in memory; returns
+    each label's manifest entries and summary file name, in `group`'s
+    order. Every seed's sidecar carries its own `measured_seconds`
+    (`TrainResult.measured_seconds`) and the `group_size` of the call that
+    trained it.
+
+    When that call raises, each label of the group is trained again alone,
+    so only a label that raises alone is lost: its place in the list holds
+    its exception. A one-label group's exception propagates."""
+    out_dir = Path(out_dir)
+    try:
+        trained = _train(group, dataset)
+    except Exception:
+        if len(group) == 1:
+            raise
+        labels = ", ".join(planned.label for planned in group)
+        logger.warning("%s failed together; training each label alone", labels, exc_info=True)
+        trained = []
+        for planned in group:
+            try:
+                trained += _train([planned], dataset)
+            except Exception as label_exc:
+                trained.append(label_exc)
     return [
-        _write_label(planned, [next(results) for _ in planned.seeds], data, out_dir, timing)
-        for planned in group
+        outcome if isinstance(outcome, Exception)
+        else _write_label(planned, *outcome, data, out_dir)
+        for planned, outcome in zip(group, trained)
     ]
 
 
 def _write_label(
     planned: PlannedRun,
     results: list[TrainResult],
+    group_size: int,
     data: DatasetSettings,
     out_dir: Path,
-    timing: dict,
 ) -> tuple[list[dict], str]:
     """Write the artifacts of `planned`'s trained `results`, one per seed,
-    and the label's summary; the sidecars carry the group's `timing`."""
+    and the label's summary."""
     entries, sidecars = [], []
     for result in results:
         config = result.config
@@ -262,7 +292,8 @@ def _write_label(
             "spawn_events": [dataclasses.asdict(ev) for ev in result.spawn_events],
             "saturated_spawn_checks": result.ensemble.saturated_checks,
             "diverged_at": result.diverged_at,
-            **timing,
+            "measured_seconds": result.measured_seconds,
+            "group_size": group_size,
         }
         _write_json(sidecar_path, sidecar)
         sidecars.append(sidecar)
@@ -354,36 +385,47 @@ def summarize_label(label: str, sidecars: list[dict]) -> dict:
     }
 
 
-def _lockstep_groups(runs: list[PlannedRun]) -> list[list[PlannedRun]]:
-    """`runs` split into sets that share one `training.lockstep_key`, each
-    in plan order, the sets in the order of their first label."""
+def _lockstep_groups(runs: list[PlannedRun], by_length: bool) -> list[list[PlannedRun]]:
+    """`runs` split into sets that share one `training.lockstep_key` and,
+    when `by_length`, one ladder length (1 for `sml`, else
+    `initial_num_chains`), each in plan order, the sets in the order of
+    their first label."""
     groups: dict[tuple, list[PlannedRun]] = {}
     for planned in runs:
-        groups.setdefault(lockstep_key(planned.config), []).append(planned)
+        config = planned.config
+        key = lockstep_key(config)
+        if by_length:
+            key = (key, 1 if config.algorithm == ALGO_SML else config.initial_num_chains)
+        groups.setdefault(key, []).append(planned)
     return list(groups.values())
 
 
 def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
     """Execute every run in the plan, then write the manifest.
 
-    The planned runs whose configs share a `training.lockstep_key` form one
-    `execute_run` task, which trains all their seeds in one lockstep group
-    and writes their artifacts and each label's summary. The dataset is
-    built once, here, and every task trains on it. With jobs > 1 the tasks
-    go to a pool of that many spawned worker processes, each with one BLAS
-    thread, and each task carries a copy of the dataset; a script that calls
-    this must guard its entry point with `if __name__ == "__main__":`.
+    With jobs == 1 the planned runs whose configs share a
+    `training.lockstep_key` form one `execute_run` task, which trains all
+    their seeds in one `train_lockstep` call and writes their artifacts and
+    each label's summary. With jobs > 1 the tasks are split further by
+    ladder length, so the pool can share the load, and go to a pool of
+    that many spawned worker processes, each with one BLAS thread; each
+    task carries a copy of the dataset, and a script that calls this must
+    guard its entry point with `if __name__ == "__main__":`. The dataset is
+    built once, here, and every task trains on it. Both partitions write
+    the same CSV and `.rbm` bytes.
 
-    A group that raises loses the seeds of each of its labels: their
-    manifest entries record the error, every other group finishes and its
-    labels get their summaries, and once the manifest is written, in plan
-    order, a RuntimeError names the failed labels.
+    A label that raises, alone as well as in its task (see `execute_run`),
+    or whose task raises as a whole, loses its seeds: their manifest
+    entries record the error, every other label finishes and gets its
+    summary, and once the manifest is written, in plan order, a
+    RuntimeError names the failed labels.
     """
     out_dir = Path(plan.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    groups = _lockstep_groups(plan.runs)
+    groups = _lockstep_groups(plan.runs, by_length=jobs > 1)
     dataset = build_dataset(plan.data)
-    outcomes: list[list[tuple[list[dict], str]] | Exception] = []
+    # per task: execute_run's list, or the exception the task raised
+    outcomes: list[list[tuple[list[dict], str] | Exception] | Exception] = []
     if jobs > 1 and len(groups) > 1:
         # imported here, so a sequential run never loads the pool
         import multiprocessing
@@ -410,14 +452,15 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> int:
             except Exception as exc:
                 outcomes.append(exc)
 
-    # each label's (entries, summary), or its group's exception
+    # each label's (entries, summary), or its exception or its task's
     by_label = {}
     for group, outcome in zip(groups, outcomes):
         if isinstance(outcome, Exception):
-            labels = ", ".join(planned.label for planned in group)
-            logger.error("%s failed", labels, exc_info=outcome)
             outcome = [outcome] * len(group)
-        by_label.update(zip((planned.label for planned in group), outcome))
+        for planned, label_outcome in zip(group, outcome):
+            if isinstance(label_outcome, Exception):
+                logger.error("%s failed", planned.label, exc_info=label_outcome)
+            by_label[planned.label] = label_outcome
 
     entries = []
     summaries = {}
@@ -475,10 +518,10 @@ def _read_record(path) -> dict:
 
 def summarize(output_dir, stream) -> int:
     """Print the per-label summary table; list missing files but still print
-    whatever is available. `wall_s` is the mean measured seconds per seed:
-    the wall time of the lockstep group the label trained in divided by all
-    the group's seeds, so the labels of one group show one figure. A
-    manifest or summary that cannot be read is a ValueError naming it."""
+    whatever is available. `wall_s` is the mean over the label's seeds of
+    each seed's measured seconds, the time `TrainResult.measured_seconds`
+    charges it. A manifest or summary that cannot be read is a ValueError
+    naming it."""
     out_dir = Path(output_dir)
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():

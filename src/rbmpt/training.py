@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -154,26 +155,25 @@ def initial_ensemble(config: TrainConfig, num_visible: int, rng: np.random.Gener
 def sml_update(
     params: rbm.RbmParams,
     minibatch: np.ndarray,
-    sampler: Ensemble | EnsembleStack,
+    particles: np.ndarray,
     config: TrainConfig,
 ) -> None:
     """One gradient ascent step on the likelihood.
 
     Positive statistics average phi(v, h~) over the minibatch with mean-field
-    hidden units; negative statistics are phi(v-, h~-) read off the sampler's
-    beta = 1 particle as it currently stands. Deterministic given that
-    particle. `minibatch` must be a float64 (m, num_visible) array, as
-    `train` passes it. With stacked params, an `EnsembleStack` and an
-    (R, m, num_visible) minibatch, every replica takes its own step in the
-    same calls, with the bits of a lone step.
+    hidden units; negative statistics are phi(v-, h~-) of `particles`, the
+    beta = 1 particle v- as a one-row batch, (1, num_visible). Deterministic
+    given that particle. `minibatch` must be a float64 (m, num_visible)
+    array, as `train` passes it. With stacked params, an (R, m, num_visible)
+    minibatch and (R, 1, num_visible) particles, every replica takes its own
+    step in the same calls, with the bits of a lone step; the replicas'
+    ladders may have any lengths.
 
     Raises DivergenceError, after the step, when a parameter is non-finite
     or beyond THETA_ABS_LIMIT; its `diverged` mask marks the replicas.
     """
     h_pos = rbm.hidden_conditional(params, minibatch)
-    # the beta = 1 particle, a one-row batch (per replica)
-    v_neg = sampler.visible[..., :1, :]
-    h_neg = rbm.hidden_conditional(params, v_neg)
+    h_neg = rbm.hidden_conditional(params, particles)
     nh, nv = params.weights.shape[-2:]
     # the positive statistics in a buffer laid out like params.flat, so each
     # arithmetic step is one pass over all three parts; add.reduce, then
@@ -185,7 +185,7 @@ def sml_update(
     np.add.reduce(minibatch, axis=-2, out=step_v)
     step /= minibatch.shape[-2]
     h_neg = h_neg.reshape(step_h.shape)
-    v_neg = v_neg.reshape(step_v.shape)
+    v_neg = particles.reshape(step_v.shape)
     step_w -= h_neg[..., None] * v_neg[..., None, :]
     step_h -= h_neg
     step_v -= v_neg
@@ -203,8 +203,11 @@ def sml_update(
 @dataclass
 class TrainResult:
     """One run: its state while it trains, and what `train` returns.
-    `params` and the ensemble's arrays are views of its group's stacks
-    while it is in one; `work_units` is the modeled cost so far."""
+    `params` and the ensemble's arrays are views of its lockstep's stacks
+    while it is in one; `work_units` is the modeled cost so far, and
+    `measured_seconds` the wall time charged to it: its own `emit`s, and
+    its shares of its lockstep's kernels, added when that lockstep ends
+    (see `_Lockstep`)."""
 
     config: TrainConfig
     rng: np.random.Generator
@@ -214,6 +217,7 @@ class TrainResult:
     spawn_events: list[SpawnEvent] = field(default_factory=list)
     diverged_at: int | None = None
     work_units: float = 0.0
+    measured_seconds: float = 0.0
 
     @classmethod
     def start(cls, config: TrainConfig, num_visible: int) -> "TrainResult":
@@ -222,6 +226,7 @@ class TrainResult:
         return cls(config, rng, params, initial_ensemble(config, num_visible, rng))
 
     def emit(self, update_index: int, eval_data: rbm.DistinctRows | None) -> None:
+        started = perf_counter()
         if eval_data is None:
             loglik = None
         else:
@@ -243,10 +248,11 @@ class TrainResult:
                 pair_swap_rates=[float(r) for r in ensemble.swap_rate_ema],
             )
         )
+        self.measured_seconds += perf_counter() - started
 
 
-# The settings that every run of one lockstep group shares, beside its
-# ladder length: each array shape and the whole update schedule.
+# The settings that every run of one lockstep shares: each array shape but
+# the ladder length, and the whole update schedule.
 _LOCKSTEP_FIELDS = (
     "num_hidden",
     "minibatch_size",
@@ -259,34 +265,28 @@ _LOCKSTEP_FIELDS = (
 
 
 def lockstep_key(config: TrainConfig) -> tuple[tuple[str, object], ...]:
-    """What runs must share to train in one `train_lockstep` group, as
-    (setting, value) pairs: `_LOCKSTEP_FIELDS`, then the ladder length (1
-    for `sml`, else `initial_num_chains`). Runs of one key may differ in
-    their seed, algorithm, initial ladder and adaptation settings."""
-    length = 1 if config.algorithm == ALGO_SML else config.initial_num_chains
-    shared = tuple((name, getattr(config, name)) for name in _LOCKSTEP_FIELDS)
-    return (*shared, ("ladder length", length))
+    """What runs must share to train in one `train_lockstep` call, as
+    (setting, value) pairs of `_LOCKSTEP_FIELDS`. Runs of one key may differ
+    in their seed, algorithm, ladder length, initial ladder and adaptation
+    settings."""
+    return tuple((name, getattr(config, name)) for name in _LOCKSTEP_FIELDS)
 
 
-class _Lockstep:
-    """Live runs of one ladder length, advanced together until one spawns a
-    chain or diverges: their parameters are the rows of one (R, P) stack and
-    their ensembles one `EnsembleStack`, so each kernel runs once per update
-    for all R. A lone run needs no stack: the same kernels take its own
-    arrays. (Always stacking, with members that own their arrays and are
-    re-stacked every sweep, gave the same bits but cost `grid-ci` about 8%
-    per update.)"""
+class _Ladder:
+    """The runs of a `_Lockstep` whose ladders have one length: `params`
+    views their rows of the lockstep's parameter stack, and their ensembles
+    are one `EnsembleStack`, or a lone run's own `Ensemble`, so the sweep
+    runs once per update for all of them. `seconds` is the wall time of
+    their sweeps, flow histograms and adaptation so far."""
 
-    def __init__(self, runs: list[TrainResult]):
+    def __init__(self, runs: list[TrainResult], params: rbm.RbmParams, config: TrainConfig):
         self.runs = runs
-        # the key's settings, which every run shares
-        self.config = config = runs[0].config
+        self.params = params
         # each run's AdaptationConfig, or None for a fixed ladder
         self.adaptations = [
             run.config.adaptation if run.config.algorithm == ALGO_SML_APT else None
             for run in runs
         ]
-        self.total_steps = config.num_updates + config.post_sampling_steps
         nh, nv = runs[0].params.weights.shape
         m = runs[0].ensemble.num_chains
         self.tempered = m > 1
@@ -299,29 +299,21 @@ class _Lockstep:
         self.sampling_work = sweep + m * nv * nh if self.tempered else sweep
         self.learning_work = self.sampling_work + 3 * config.minibatch_size * nv * nh
         if len(runs) == 1:
-            run = runs[0]
-            self.params, self.ensembles, self.rngs = run.params, run.ensemble, run.rng
-            return
-        flat = np.stack([run.params.flat for run in runs])
-        self.params = rbm.RbmParams.view(flat, nh, nv)
-        for run, row in zip(runs, flat):
-            run.params = rbm.RbmParams.view(row, nh, nv)
-        self.ensembles = EnsembleStack([run.ensemble for run in runs])
-        self.rngs = [run.rng for run in runs]
+            self.ensembles, self.rngs = runs[0].ensemble, runs[0].rng
+        else:
+            self.ensembles = EnsembleStack([run.ensemble for run in runs])
+            self.rngs = [run.rng for run in runs]
+        self.seconds = 0.0
 
-    def step(self, update: int, sampler, eval_data) -> bool:
-        """Update `update` of every run, in a lone run's order; True when a
-        run spawned a chain or diverged, which ends the group."""
-        runs, config = self.runs, self.config
-        learning = update <= config.num_updates
-        if learning:
-            batch = sampler(self.rngs, config.minibatch_size)
+    def step(self, update: int, learning: bool, config: TrainConfig) -> bool:
+        """The sweep, flow histograms and adaptation of update `update`;
+        True when a run spawned a chain."""
         deo_sweep(self.ensembles, self.params, config.gibbs_steps_per_update, self.rngs)
         if self.tempered:
             update_flow_histograms(self.ensembles)
         work = self.learning_work if learning else self.sampling_work
-        ended = False
-        for run, adaptation in zip(runs, self.adaptations):
+        spawned = False
+        for run, adaptation in zip(self.runs, self.adaptations):
             run.work_units += work
             ensemble = run.ensemble
             if adaptation is not None and ensemble.burn_in_remaining == 0:
@@ -330,35 +322,108 @@ class _Lockstep:
                     event = maybe_spawn(ensemble, adaptation, update_index=update)
                     if event is not None:
                         run.spawn_events.append(event)
-                        ended = True
-        live = runs
+                        spawned = True
+        return spawned
+
+
+class _Lockstep:
+    """Live runs advanced together until one spawns a chain or diverges.
+    Their parameters are the rows of one (N, P) stack, ordered by ladder
+    length so that each length's rows are one `_Ladder`'s contiguous slice.
+    Each update draws every run's minibatch in one sampler call, sweeps each
+    ladder length once, and takes every run's gradient step in one
+    `sml_update` call. A lone run needs no stack: the same kernels take its
+    own arrays.
+
+    Each run draws its minibatch, then its sweep, from its own generator,
+    as it does alone. `charge` gives each run its share of the measured
+    time: its ladder's seconds over the ladder's runs, and the minibatch
+    draw and gradient step over all N."""
+
+    def __init__(self, runs: list[TrainResult]):
+        by_length: dict[int, list[TrainResult]] = {}
+        for run in runs:
+            by_length.setdefault(run.ensemble.num_chains, []).append(run)
+        self.runs = [run for group in by_length.values() for run in group]
+        # the key's settings, which every run shares
+        self.config = config = runs[0].config
+        self.total_steps = config.num_updates + config.post_sampling_steps
+        if len(runs) == 1:
+            run = runs[0]
+            self.params, self.rngs = run.params, run.rng
+            self.ladders = [_Ladder(runs, run.params, config)]
+        else:
+            nh, nv = runs[0].params.weights.shape
+            flat = np.stack([run.params.flat for run in self.runs])
+            self.params = rbm.RbmParams.view(flat, nh, nv)
+            for run, row in zip(self.runs, flat):
+                run.params = rbm.RbmParams.view(row, nh, nv)
+            self.rngs = [run.rng for run in self.runs]
+            self.ladders, start = [], 0
+            for group in by_length.values():
+                stop = start + len(group)
+                rows = flat[start] if len(group) == 1 else flat[start:stop]
+                self.ladders.append(_Ladder(group, rbm.RbmParams.view(rows, nh, nv), config))
+                start = stop
+        self.shared_seconds = 0.0
+
+    def _particles(self) -> np.ndarray:
+        """Every run's beta = 1 particle as a one-row batch, in stack order:
+        (N, 1, nv), or (1, nv) for a lone run."""
+        ladders = self.ladders
+        if len(ladders) == 1:
+            return ladders[0].ensembles.visible[..., :1, :]
+        nv = self.params.weights.shape[-1]
+        return np.concatenate(
+            [ladder.ensembles.visible[..., :1, :].reshape(-1, 1, nv) for ladder in ladders]
+        )
+
+    def step(self, update: int, sampler, eval_data) -> bool:
+        """Update `update` of every run, in a lone run's order; True when a
+        run spawned a chain or diverged, which ends the lockstep."""
+        config = self.config
+        learning = update <= config.num_updates
+        started = perf_counter()
+        if learning:
+            batch = sampler(self.rngs, config.minibatch_size)
+        drawn = now = perf_counter()
+        ended = False
+        for ladder in self.ladders:
+            ended |= ladder.step(update, learning, config)
+            last, now = now, perf_counter()
+            ladder.seconds += now - last
+        live = self.runs
+        diverged = None
         if learning:
             try:
                 # a spawn inserts at slot 1 or later: slot 0 is still the stack's
-                sml_update(self.params, batch, self.ensembles, config)
+                sml_update(self.params, batch, self._particles(), config)
             except DivergenceError as err:
-                ended = True
-                live = []
-                for run, bad in zip(runs, err.diverged.reshape(-1)):
-                    if bad:
-                        run.diverged_at = update
-                        run.emit(update, eval_data)
-                    else:
-                        live.append(run)
+                diverged = err.diverged.reshape(-1)
+        # the minibatch draw and the gradient step
+        self.shared_seconds += (drawn - started) + (perf_counter() - now)
+        if diverged is not None:
+            ended = True
+            live = []
+            for run, bad in zip(self.runs, diverged):
+                if bad:
+                    run.diverged_at = update
+                    run.emit(update, eval_data)
+                else:
+                    live.append(run)
         if update % config.eval_interval == 0 or update == self.total_steps:
             for run in live:
                 run.emit(update, eval_data)
         return ended
 
-
-def _groups(runs: list[TrainResult]) -> list[_Lockstep]:
-    """The runs that have not diverged, one `_Lockstep` per ladder length:
-    each in the order of `runs`, the groups in the order of their first run."""
-    by_length: dict[int, list[TrainResult]] = {}
-    for run in runs:
-        if run.diverged_at is None:
-            by_length.setdefault(run.ensemble.num_chains, []).append(run)
-    return [_Lockstep(group) for group in by_length.values()]
+    def charge(self) -> None:
+        """Add each run's share of the time measured so far to its
+        `measured_seconds`."""
+        shared = self.shared_seconds / len(self.runs)
+        for ladder in self.ladders:
+            own = ladder.seconds / len(ladder.runs)
+            for run in ladder.runs:
+                run.measured_seconds += shared + own
 
 
 def train_lockstep(
@@ -368,17 +433,18 @@ def train_lockstep(
 ) -> list[TrainResult]:
     """Train one run per config, as `train` would, advancing the runs
     together: `configs` must share their `lockstep_key`, so they may
-    differ only in their seed, algorithm, initial ladder and adaptation
-    settings. A ValueError names the first setting that differs.
+    differ only in their seed, algorithm, ladder length, initial ladder and
+    adaptation settings. A ValueError names the first setting that differs.
 
-    Each update runs the Gibbs sweep, the energies, the minibatch draw and
-    the gradient step once over a stacked replica axis, while every run
-    keeps its own generator, swap decisions, ladder bookkeeping and, for
-    `sml-apt`, its own respacing and spawn checks, so each result has the
-    bits `train` gives its config alone. A run that diverges stops; after
-    any spawn or divergence the live runs re-form one group per ladder
-    length. `sampler` must also take a list of R generators and return an
-    (R, n, num_visible) stack, as `dataset.BatchSampler` does. Returns the
+    Each update runs the minibatch draw and the gradient step once over all
+    the runs, and the Gibbs sweep and the energies once per ladder length,
+    while every run keeps its own generator, swap decisions, ladder
+    bookkeeping and, for `sml-apt`, its own respacing and spawn checks, so
+    each result has the bits `train` gives its config alone. A run that
+    diverges stops; after any spawn or divergence the live runs re-form one
+    `_Lockstep`, so a run whose ladder grows joins the runs of its new
+    length. `sampler` must also take a list of N generators and return an
+    (N, n, num_visible) stack, as `dataset.BatchSampler` does. Returns the
     runs it stepped, in the order of `configs`.
     """
     if not configs:
@@ -393,13 +459,15 @@ def train_lockstep(
     runs = [TrainResult.start(config, num_visible) for config in configs]
     for run in runs:
         run.emit(0, eval_data)
-    groups = _groups(runs)
+    lockstep = _Lockstep(runs)
     for update in range(1, shared.num_updates + shared.post_sampling_steps + 1):
-        ended = [group.step(update, sampler, eval_data) for group in groups]
-        if any(ended):
-            groups = _groups(runs)
-            if not groups:
-                break
+        if lockstep.step(update, sampler, eval_data):
+            lockstep.charge()
+            live = [run for run in runs if run.diverged_at is None]
+            if not live:
+                return runs
+            lockstep = _Lockstep(live)
+    lockstep.charge()
     return runs
 
 

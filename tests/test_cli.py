@@ -419,6 +419,8 @@ class TestParallelJobs:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+        # `--jobs 1` trains the plan's one lockstep key in one call, and
+        # `--jobs 2` splits it by ladder length: the same bytes either way
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         plan_seq = tiny_comparison_plan(tmp_path / "seq")
@@ -430,6 +432,16 @@ class TestParallelJobs:
         assert len(artifacts) == 20
         for seq in artifacts:
             assert seq.read_bytes() == (tmp_path / "par" / seq.name).read_bytes()
+        sizes = {}
+        for out in ("seq", "par"):
+            sizes[out] = {
+                path.stem: json.loads(path.read_text())["group_size"]
+                for path in (tmp_path / out).glob("*__seed*.json")
+            }
+        assert set(sizes["seq"].values()) == {10}
+        assert sizes["par"] == {
+            stem: 4 if stem.startswith(("sml-pt-10_", "sml-apt_")) else 2 for stem in sizes["seq"]
+        }
         # the workers' one-thread BLAS settings do not leak into this process
         assert "OPENBLAS_NUM_THREADS" not in os.environ
         assert os.environ["OMP_NUM_THREADS"] == "3"

@@ -1,10 +1,12 @@
-"""Lockstep training: runs that share every array shape and the update
-schedule (one `training.lockstep_key`) share one stacked replica axis,
-whatever their seed, sampler, initial ladder or adaptation settings, and
-every seed must come out with the bits it gets alone."""
+"""Lockstep training: runs that share every array shape but the ladder
+length, and the update schedule (one `training.lockstep_key`), share one
+stacked replica axis, whatever their seed, sampler, ladder length, initial
+ladder or adaptation settings, and every seed must come out with the bits
+it gets alone."""
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 import pytest
@@ -140,10 +142,11 @@ def test_stacked_gradient_step_matches_lone_steps(replicas, nv, nh):
     ensembles = [tempering.Ensemble.create(np.array([1.0, 0.0]), nv, nh, rng) for _ in lone]
     batch = binary(rng, (replicas, 5, nv))
     config = TrainConfig(learning_rate=0.05, num_hidden=nh)
-    training.sml_update(stacked, batch, tempering.EnsembleStack(ensembles), config)
+    # the beta = 1 particles of each replica, (R, 1, nv)
+    particles = tempering.EnsembleStack(ensembles).visible[:, :1]
+    training.sml_update(stacked, batch, particles, config)
     for r, (params, ens) in enumerate(zip(lone, ensembles)):
-        ens = tempering.Ensemble(ens.betas.copy(), ens.visible.copy(), ens.hidden.copy())
-        training.sml_update(params, batch[r], ens, config)
+        training.sml_update(params, batch[r], ens.visible[:1].copy(), config)
         assert same_bits(stacked.flat[r], params.flat)
 
 
@@ -154,8 +157,9 @@ def test_stacked_divergence_names_the_replica():
     ensembles = tempering.EnsembleStack(
         [tempering.Ensemble.create(np.ones(1), 4, 2, rng) for _ in lone]
     )
+    batch, particles = binary(rng, (3, 2, 4)), ensembles.visible[:, :1]
     with pytest.raises(training.DivergenceError) as err:
-        training.sml_update(stacked, binary(rng, (3, 2, 4)), ensembles, TrainConfig())
+        training.sml_update(stacked, batch, particles, TrainConfig())
     assert err.value.diverged.tolist() == [False, True, False]
 
 
@@ -257,13 +261,13 @@ def test_seeds_of_one_ladder_length_stack_again(monkeypatch):
             burn_in_sweeps=5, max_chains=4,
         ),
     )
-    formed, lockstep = [], training._Lockstep
+    formed, ladder = [], training._Ladder
 
-    def recording(runs):
+    def recording(runs, *args):
         formed.append((len(runs), runs[0].ensemble.num_chains))
-        return lockstep(runs)
+        return ladder(runs, *args)
 
-    monkeypatch.setattr(training, "_Lockstep", recording)
+    monkeypatch.setattr(training, "_Ladder", recording)
     sampler = toy_sampler()
     eval_data = packed_distinct_rows(sampler(np.random.default_rng(76), 32))
     configs = [dataclasses.replace(config, seed=seed) for seed in LOCKSTEP_SEEDS]
@@ -288,41 +292,123 @@ def test_lockstep_rejects_configs_that_differ_beyond_the_seed():
     "other, setting",
     [
         (toy_config(seed=2, num_hidden=4), "num_hidden"),
-        (toy_config(seed=2, algorithm="sml-apt", initial_num_chains=5), "ladder length"),
-        (toy_config(seed=2, algorithm="sml"), "ladder length"),
+        (toy_config(seed=2, post_sampling_steps=3), "post_sampling_steps"),
     ],
-    ids=["num_hidden", "chains", "sml"],
+    ids=["num_hidden", "post_sampling_steps"],
 )
 def test_lockstep_rejection_names_the_setting(other, setting):
     with pytest.raises(ValueError, match=f"share their {setting}"):
         training.train_lockstep([toy_config(seed=1), other], toy_sampler())
 
 
-def test_lockstep_key_counts_one_chain_for_sml():
-    # a single chain ignores `initial_num_chains`
-    sml = training.lockstep_key(toy_config(algorithm="sml", initial_num_chains=7))
-    assert sml == training.lockstep_key(toy_config(algorithm="sml", initial_num_chains=1))
-    assert sml == training.lockstep_key(toy_config(algorithm="sml-pt", initial_num_chains=1))
-    assert sml != training.lockstep_key(toy_config(algorithm="sml-pt"))
+@pytest.mark.parametrize(
+    "other",
+    [
+        toy_config(seed=2, algorithm="sml-apt", initial_num_chains=5),
+        toy_config(seed=2, algorithm="sml"),
+    ],
+    ids=["chains", "sml"],
+)
+def test_ladder_lengths_train_in_one_call(other, tmp_path):
+    # a 4-chain run trains in one call with a run of another ladder length,
+    # and each writes the bytes it writes alone
+    configs = [toy_config(seed=1), other]
+    sampler = toy_sampler()
+    eval_data = packed_distinct_rows(sampler(np.random.default_rng(76), 32))
+    together = training.train_lockstep(configs, sampler, eval_data=eval_data)
+    for config, got in zip(configs, together):
+        alone = training.train(config, sampler, eval_data=eval_data)
+        name = f"seed{config.seed}"
+        assert files_of(got, tmp_path, name + "-lockstep") == files_of(alone, tmp_path, name)
 
 
-# Three samplers of one lockstep key: a fixed linear ladder, an adaptive
-# ladder that spawns, and a fixed geometric ladder; and a fourth label that
-# differs from them only in its learning rate.
+def test_lockstep_key_holds_no_ladder_length():
+    # one chain, fixed ladders and adaptive ladders of any length share a
+    # key; the learning rate still splits it
+    key = training.lockstep_key(toy_config(algorithm="sml", initial_num_chains=7))
+    for config in (
+        toy_config(algorithm="sml"),
+        toy_config(algorithm="sml-pt", initial_num_chains=1),
+        toy_config(algorithm="sml-pt"),
+        toy_config(algorithm="sml-apt", initial_num_chains=9),
+    ):
+        assert training.lockstep_key(config) == key
+    assert "ladder length" not in dict(key)
+    assert key != training.lockstep_key(toy_config(algorithm="sml", learning_rate=0.5))
+
+
+def test_one_draw_and_one_gradient_step_per_learning_update(monkeypatch, tmp_path):
+    # sml, a 3-chain sml-pt and a 2-chain sml-apt that spawns into 3 chains
+    # train in one call: each learning update makes one sampler call and
+    # one sml_update call for all three, the grown seed joins the 3-chain
+    # ladder, and every seed writes the bytes it writes alone
+    adaptation = AdaptationConfig(
+        beta_learning_rate=1e-2, min_avg_swap_rate=0.99, spawn_check_interval=5,
+        burn_in_sweeps=5, max_chains=3,
+    )
+    configs = [
+        toy_config(algorithm="sml", learning_rate=0.2, seed=3),
+        toy_config(algorithm="sml-pt", learning_rate=0.2, initial_num_chains=3, seed=5),
+        toy_config(
+            algorithm="sml-apt", learning_rate=0.2, initial_num_chains=2, seed=8,
+            adaptation=adaptation,
+        ),
+    ]
+    sampler = toy_sampler()
+    eval_data = packed_distinct_rows(sampler(np.random.default_rng(76), 32))
+    calls, ladders = {"sampler": 0, "sml_update": 0}, []
+    sml_update, ladder = training.sml_update, training._Ladder
+
+    class Counting:
+        num_visible = sampler.num_visible
+
+        def __call__(self, rngs, n):
+            calls["sampler"] += 1
+            return sampler(rngs, n)
+
+    def counting_update(*args):
+        calls["sml_update"] += 1
+        return sml_update(*args)
+
+    def recording(runs, *args):
+        ladders.append(sorted(run.config.seed for run in runs))
+        return ladder(runs, *args)
+
+    monkeypatch.setattr(training, "sml_update", counting_update)
+    monkeypatch.setattr(training, "_Ladder", recording)
+    together = training.train_lockstep(configs, Counting(), eval_data=eval_data)
+    monkeypatch.undo()
+    updates = configs[0].num_updates
+    assert calls == {"sampler": updates, "sml_update": updates}
+    assert [len(run.spawn_events) for run in together] == [0, 0, 1]
+    assert [run.ensemble.num_chains for run in together] == [1, 3, 3]
+    assert ladders[:3] == [[3], [5], [8]] and [5, 8] in ladders
+    for config, got in zip(configs, together):
+        assert got.diverged_at is None
+        alone = training.train(config, sampler, eval_data=eval_data)
+        name = f"seed{config.seed}"
+        assert files_of(got, tmp_path, name + "-lockstep") == files_of(alone, tmp_path, name)
+
+
+# Four samplers of one lockstep key: a fixed linear ladder, an adaptive
+# ladder that spawns, a fixed geometric ladder and a single chain; and a
+# fifth label that differs from them only in its learning rate.
 MIXED_LABELS = {
     "pt": dataclasses.replace(LOCKSTEP_CASES["sml-apt"], algorithm="sml-pt"),
     "apt": LOCKSTEP_CASES["sml-apt"],
     "geometric": dataclasses.replace(
         LOCKSTEP_CASES["sml-apt"], algorithm="sml-pt", initial_ladder="geometric"
     ),
+    "single": dataclasses.replace(LOCKSTEP_CASES["sml-apt"], algorithm="sml"),
     "slower": dataclasses.replace(LOCKSTEP_CASES["sml-apt"], learning_rate=0.1),
 }
 
 
 def test_grid_groups_labels_by_lockstep_key(tmp_path):
-    # seed s of a label trained in a group that spans labels writes the
-    # files it writes in a one-label, one-seed plan; the labels that share
-    # a key train in one group, the one with another learning rate alone
+    # seed s of a label trained in a group that spans labels and ladder
+    # lengths writes the files it writes in a one-label, one-seed plan; the
+    # labels that share a key train in one group, the one with another
+    # learning rate alone, and each seed is charged its own time
     data = experiment.DatasetSettings(image_side=3, eval_size=20)
     together = experiment.ExperimentPlan(
         [experiment.PlannedRun(label, config, list(LOCKSTEP_SEEDS))
@@ -345,12 +431,13 @@ def test_grid_groups_labels_by_lockstep_key(tmp_path):
                     tmp_path / f"{label}{seed}" / name
                 ).read_bytes()
             sidecar = json.loads((tmp_path / "together" / f"{stem}.json").read_text())
-            labels = 1 if label == "slower" else 3
+            labels = 1 if label == "slower" else 4
             assert sidecar["group_size"] == labels * len(LOCKSTEP_SEEDS)
+            assert sidecar["measured_seconds"] > 0.0
             measured.setdefault(labels, set()).add(sidecar["measured_seconds"])
             spawned.append(bool(sidecar["spawn_events"]))
-    # the labels of one group share one per-seed wall time
-    assert [len(seconds) for seconds in measured.values()] == [1, 1]
+    # no two seeds of a group share one figure
+    assert [len(seconds) for seconds in measured.values()] == [16, 4]
     # some apt seeds left the stack by a spawn, and some stayed
     assert not any(spawned[:4]) and 0 < sum(spawned[4:8]) < 4
     manifest = json.loads((tmp_path / "together" / experiment.MANIFEST_NAME).read_text())
@@ -386,6 +473,34 @@ def test_grid_seed_files_match_seed_alone(case, tmp_path):
         assert sidecar["measured_seconds"] > 0.0
 
 
+def test_each_seed_is_charged_its_own_time(tmp_path):
+    # a 1-chain and a 50-chain label train in one call; each seed's
+    # sidecar carries the time charged to it alone. The charges are
+    # disjoint spans of the call, so they sum to no more than it, and they
+    # leave out only set-up, the loop and the writes: at least half of it
+    base = toy_config(num_updates=200, post_sampling_steps=0, eval_interval=50)
+    group = [
+        experiment.PlannedRun("one", dataclasses.replace(base, algorithm="sml"), [1, 2]),
+        experiment.PlannedRun(
+            "fifty", dataclasses.replace(base, algorithm="sml-pt", initial_num_chains=50), [1, 2]
+        ),
+    ]
+    data = experiment.DatasetSettings(image_side=3, eval_size=20)
+    dataset_pair = experiment.build_dataset(data)
+    started = time.perf_counter()
+    experiment.execute_run(group, data, dataset_pair, tmp_path)
+    elapsed = time.perf_counter() - started
+    seconds = {}
+    for planned in group:
+        for seed in planned.seeds:
+            stem = experiment.run_stem(planned.label, seed)
+            sidecar = json.loads((tmp_path / f"{stem}.json").read_text())
+            assert sidecar["group_size"] == 4
+            seconds[planned.label, seed] = sidecar["measured_seconds"]
+    assert 0.5 * elapsed <= sum(seconds.values()) <= elapsed
+    assert min(seconds["fifty", 1], seconds["fifty", 2]) > max(seconds["one", 1], seconds["one", 2])
+
+
 class TestEvalDataType:
     def test_train_rejects_an_array(self):
         sampler = toy_sampler()
@@ -408,7 +523,7 @@ def test_failing_label_keeps_the_other_labels(tmp_path, monkeypatch):
     train_lockstep = experiment.train_lockstep
 
     def flaky(configs, *args, **kwargs):
-        if configs[0].initial_num_chains == 20:
+        if any(config.initial_num_chains == 20 for config in configs):
             raise FloatingPointError("sml-pt-20 blew up")
         return train_lockstep(configs, *args, **kwargs)
 
@@ -427,8 +542,9 @@ def test_failing_label_keeps_the_other_labels(tmp_path, monkeypatch):
 
 
 def test_failing_group_fails_each_of_its_labels(tmp_path, monkeypatch):
-    # sml-pt-10 and sml-apt start at 10 chains and share every other shape
-    # and the schedule, so they train in one group: it fails as a whole
+    # every label shares one lockstep key, so all train in one call, which
+    # fails; each label then trains alone, and only the two 10-chain labels,
+    # sml-pt-10 and sml-apt, fail again
     out = tmp_path / "out"
     argv = [
         "grid", "--preset", "comparison", "--scale", "ci", "--num-seeds", "2",
@@ -440,14 +556,14 @@ def test_failing_group_fails_each_of_its_labels(tmp_path, monkeypatch):
 
     def flaky(configs, *args, **kwargs):
         groups.append([(config.algorithm, config.initial_num_chains) for config in configs])
-        if configs[0].initial_num_chains == 10:
+        if any(config.initial_num_chains == 10 for config in configs):
             raise FloatingPointError("the 10-chain group blew up")
         return train_lockstep(configs, *args, **kwargs)
 
     monkeypatch.setattr(experiment, "train_lockstep", flaky)
     assert cli.main(argv) == cli.RUNTIME_ERROR
-    assert len(groups) == 4
-    assert groups[1] == [("sml-pt", 10)] * 2 + [("sml-apt", 10)] * 2
+    labels = [("sml", 1), ("sml-pt", 10), ("sml-pt", 20), ("sml-pt", 50), ("sml-apt", 10)]
+    assert groups == [[label for label in labels for _ in (0, 1)]] + [[label] * 2 for label in labels]
     manifest = json.loads((out / experiment.MANIFEST_NAME).read_text())
     assert [e["label"] for e in manifest["runs"]] == [
         label for label in manifest["labels"] for _ in (0, 1)

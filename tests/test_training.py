@@ -47,7 +47,7 @@ class TestSmlUpdate:
         params, ens = self.make()
         batch = ens.visible[:1].copy()  # positive phase sees the negative state
         before = copy_params(params)
-        training.sml_update(params, batch, ens, small_config())
+        training.sml_update(params, batch, ens.visible[:1], small_config())
         assert params.weights == pytest.approx(before.weights, abs=0)
         assert params.hidden_bias == pytest.approx(before.hidden_bias, abs=0)
         assert params.visible_bias == pytest.approx(before.visible_bias, abs=0)
@@ -56,7 +56,7 @@ class TestSmlUpdate:
         params, ens = self.make()
         batch = (np.random.default_rng(52).random((4, 5)) < 0.5).astype(float)
         before = copy_params(params)
-        training.sml_update(params, batch, ens, small_config(learning_rate=0.0))
+        training.sml_update(params, batch, ens.visible[:1], small_config(learning_rate=0.0))
         assert params.weights == pytest.approx(before.weights, abs=0)
 
     def test_direction_matches_hand_computed_stats(self):
@@ -65,7 +65,7 @@ class TestSmlUpdate:
         before = copy_params(params)
         v = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         lr = 0.05
-        training.sml_update(params, v[None, :], ens, small_config(learning_rate=lr))
+        training.sml_update(params, v[None, :], ens.visible[:1], small_config(learning_rate=lr))
 
         h_pos = expit(before.weights @ v + before.hidden_bias)
         v_neg = ens.visible[0]
@@ -88,7 +88,7 @@ class TestSmlUpdate:
         getattr(params, field).flat[0] = value
         batch = np.ones((1, 5))
         with pytest.raises(training.DivergenceError):
-            training.sml_update(params, batch, ens, small_config(learning_rate=1e-3))
+            training.sml_update(params, batch, ens.visible[:1], small_config(learning_rate=1e-3))
 
     @pytest.mark.parametrize("field", ["weights", "hidden_bias", "visible_bias"])
     @pytest.mark.parametrize("value", [np.nan, 2e6], ids=["nan", "2e6"])
@@ -103,7 +103,7 @@ class TestSmlUpdate:
         if finite:
             want = reference_sml_update(params, batch, ens.visible[0], lr)
         with pytest.raises(training.DivergenceError):
-            training.sml_update(params, batch, ens, small_config(learning_rate=lr))
+            training.sml_update(params, batch, ens.visible[:1], small_config(learning_rate=lr))
         if finite:
             assert same_bits(params.flat, want.flat)
         else:
@@ -115,7 +115,7 @@ class TestSmlUpdate:
         for field in ("weights", "hidden_bias", "visible_bias"):
             for sign in (1.0, -1.0):
                 getattr(params, field).flat[0] = sign * training.THETA_ABS_LIMIT
-                training.sml_update(params, batch, ens, small_config(learning_rate=0.0))
+                training.sml_update(params, batch, ens.visible[:1], small_config(learning_rate=0.0))
 
 
     @pytest.mark.parametrize("nv, nh", [(5, 3), (64, 5), (784, 10)])
@@ -129,7 +129,7 @@ class TestSmlUpdate:
             batch = (rng.random((5, nv)) < 0.5).astype(float)
             ens.visible[0] = rng.random(nv) < 0.5
             want = reference_sml_update(params, batch, ens.visible[0], lr)
-            training.sml_update(params, batch, ens, config)
+            training.sml_update(params, batch, ens.visible[:1], config)
             for name in ("weights", "hidden_bias", "visible_bias"):
                 assert same_bits(getattr(params, name), getattr(want, name))
 
